@@ -108,7 +108,7 @@ fn bench_workbook_autocommit(dir: &std::path::Path) {
     });
     report_json("commit/workbook_autocommit", 1, &m);
     // One coherent registry dump so the perf numbers travel with their
-    // counter context (wal_commits, fsyncs, pool traffic).
+    // counter context (wal_commits, fsyncs, page touches).
     println!("METRICS_JSON {}", wb.metrics_json());
 }
 

@@ -3,20 +3,19 @@
 //!
 //! Run with `cargo bench -p dataspread --bench query`. Each arm reports
 //! ns/iter plus derived rows/sec (input rows of the larger side over the
-//! per-iteration time) and the blocks touched per iteration (one coherent
-//! `PoolStats::snapshot()` per phase, not four racing atomic loads); the
-//! summary prints the nested-loop/hash ratio. The nested-loop join arm is
+//! per-iteration time) and the blocks touched per iteration (`TableStats`
+//! page reads + writes, summed over the tables); the summary prints the
+//! nested-loop/hash ratio. The nested-loop join arm is
 //! skipped at 50k rows — 2.5·10⁹ row comparisons is the point the hash
 //! join exists to avoid.
 //!
 //! A final durability section saves the 10k workbook into a real store
 //! directory and reports *measured* I/O (`PageFileStats`: frames and bytes
-//! physically written, fsyncs) next to the modeled buffer-pool counters —
-//! the boundary `docs/STORAGE.md` makes real.
+//! physically written, fsyncs) next to the logical page writes — the
+//! boundary `docs/STORAGE.md` makes real.
 
 use std::time::Duration;
 
-use dataspread::relstore::PoolSnapshot;
 use dataspread::{ExecOptions, Workbook};
 use dataspread_testkit::{bench, black_box, report_json, Rng};
 use dataspread_types::Value;
@@ -52,38 +51,30 @@ fn workbook(n: usize) -> Workbook {
     wb
 }
 
-/// Combined pool counters of every bench table, as one coherent copy each.
-fn pools(wb: &Workbook) -> PoolSnapshot {
-    let mut sum = PoolSnapshot {
-        hits: 0,
-        misses: 0,
-        evictions: 0,
-        dirty_writebacks: 0,
-        write_back_errors: 0,
-    };
-    for name in wb.catalog().table_names() {
-        let s = wb.catalog().get(&name).unwrap().pool().stats().snapshot();
-        sum.hits += s.hits;
-        sum.misses += s.misses;
-        sum.evictions += s.evictions;
-        sum.dirty_writebacks += s.dirty_writebacks;
-        sum.write_back_errors += s.write_back_errors;
-    }
-    sum
+/// Blocks touched so far: logical page reads + writes over every table.
+fn blocks(wb: &Workbook) -> u64 {
+    wb.catalog()
+        .table_names()
+        .iter()
+        .map(|name| {
+            let t = wb.catalog().get(name).unwrap();
+            t.stats().page_reads() + t.stats().page_writes()
+        })
+        .sum()
 }
 
 fn arm(wb: &mut Workbook, label: &str, sql: &str, n: usize, options: ExecOptions) -> f64 {
     wb.set_exec_options(options);
-    let before = pools(wb);
+    let before = blocks(wb);
     let m = bench(&format!("{label}/{n}"), TARGET, || {
         black_box(wb.query(sql).unwrap());
     });
-    let after = pools(wb);
+    let after = blocks(wb);
     let ns = m.per_iter_ns();
     println!(
         "    {label}/{n}: {:.0} rows/sec, {:.0} blocks touched/iter",
         n as f64 / (ns * 1e-9),
-        (after.blocks_touched() - before.blocks_touched()) as f64 / m.iters as f64
+        (after - before) as f64 / m.iters as f64
     );
     report_json(&format!("{label}/{n}"), n, &m);
     ns
@@ -153,21 +144,21 @@ fn skew_join(n: usize) {
 }
 
 /// Durability: checkpoint the workbook into a real store and report the
-/// physically written frames/bytes next to the modeled pool counters.
+/// physically written frames/bytes next to the logical page writes.
 fn durability_report(wb: &mut Workbook, n: usize) {
     let dir = std::env::temp_dir().join(format!("dsp-bench-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let m = bench(&format!("durability/checkpoint/{n}"), TARGET, || {
         wb.save(&dir).unwrap();
     });
-    let modeled = wb.catalog().get("l").unwrap().pool().stats().snapshot();
+    let page_writes = wb.catalog().get("l").unwrap().stats().page_writes();
     // The freshly attached store's counters cover exactly the last save.
     let store = dataspread::relstore::PageFile::open(dir.join("data.dsp")).unwrap();
     println!(
-        "    real I/O per checkpoint: {} frames on disk ({} KiB page file), modeled pool writebacks so far: {}",
+        "    real I/O per checkpoint: {} frames on disk ({} KiB page file), logical page writes so far: {}",
         store.frame_count(),
         std::fs::metadata(dir.join("data.dsp")).map(|md| md.len() / 1024).unwrap_or(0),
-        modeled.dirty_writebacks,
+        page_writes,
     );
     println!(
         "    checkpoint: {:.2} ms/iter over {} iters",

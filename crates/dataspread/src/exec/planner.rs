@@ -627,10 +627,7 @@ pub(crate) fn build<'a>(
                 build(left, ctx, meters.as_deref_mut())?,
                 &ctx.metrics.join_probe_rows,
             );
-            let rstream = counted(
-                build(right, ctx, meters)?,
-                &ctx.metrics.join_build_rows,
-            );
+            let rstream = counted(build(right, ctx, meters)?, &ctx.metrics.join_build_rows);
             let left_join = kind == JoinKind::Left;
             let joined = match strategy {
                 Strategy::Hash {

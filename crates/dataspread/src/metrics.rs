@@ -5,7 +5,7 @@
 //! The registry is *per workbook*, not process-global: tests (and a future
 //! multi-tenant server) need each workbook's counters isolated. Components
 //! with their own per-instance counters — the attached WAL writer, each
-//! table's buffer pool — are aggregated into the snapshot at scrape time
+//! table's page-touch stats — are aggregated into the snapshot at scrape time
 //! instead, so their hot paths never route through a registry lookup.
 
 use std::sync::Arc;

@@ -46,12 +46,13 @@ use crate::metrics::WbObs;
 use crate::sheet::{Sheet, StoreKind};
 use crate::workbook::Workbook;
 
-/// Version byte of the workbook metadata stream. Version 2 added the
-/// default buffer-pool capacity and per-sheet formula sections; version 3
-/// added the binding section (table-bound regions); version 4 added the
-/// optimizer-statistics section (per-table column sketches). Version 1–3
-/// streams are still readable (they decode with defaults, no formulas, no
-/// bindings, and freshly analyzed statistics respectively).
+/// Version byte of the workbook metadata stream. Version 2 added a `u64`
+/// (once the buffer-pool capacity, now reserved and written as zero) and
+/// per-sheet formula sections; version 3 added the binding section
+/// (table-bound regions); version 4 added the optimizer-statistics section
+/// (per-table column sketches). Version 1–3 streams are still readable
+/// (they decode with no formulas, no bindings, and freshly analyzed
+/// statistics respectively).
 const WB_META_VERSION: u8 = 4;
 
 /// The highest checkpoint generation evidenced on disk at `dir` — from the
@@ -78,7 +79,8 @@ pub(crate) fn encode_workbook_meta(wb: &Workbook) -> Vec<u8> {
         StoreKind::Naive => 2,
     });
     put_u32(&mut buf, wb.current as u32);
-    put_u64(&mut buf, wb.catalog.default_pool_capacity() as u64);
+    // Reserved (was the default buffer-pool capacity): written as zero.
+    put_u64(&mut buf, 0);
     put_u32(&mut buf, wb.sheets.len() as u32);
     for sheet in &wb.sheets {
         sheet.encode(&mut buf);
@@ -135,16 +137,16 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
         }
     };
     let current = cur.u32()? as usize;
-    // Version 1 predates the configurable pool capacity and formula
-    // sections; it decodes with the default capacity and literal-only cells.
-    let pool_pages = if version >= 2 {
-        (cur.u64()? as usize).max(1)
-    } else {
-        dataspread_relstore::table::DEFAULT_POOL_PAGES
-    };
+    // Version 1 predates the reserved u64 and the formula sections; it
+    // decodes with literal-only cells.
+    if version >= 2 {
+        // Reserved (was the default buffer-pool capacity): ignored.
+        cur.u64()?;
+    }
     let nsheets = cur.u32()? as usize;
-    let mut sheets = Vec::with_capacity(nsheets);
-    let mut by_name = std::collections::HashMap::with_capacity(nsheets);
+    let cap = nsheets.min(cur.remaining());
+    let mut sheets = Vec::with_capacity(cap);
+    let mut by_name = std::collections::HashMap::with_capacity(cap);
     let clock = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(1));
     for i in 0..nsheets {
         let mut sheet = Sheet::decode(&mut cur, version >= 2)?;
@@ -209,8 +211,6 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
             "workbook snapshot: invalid sheet table".into(),
         ));
     }
-    let mut catalog = catalog;
-    catalog.set_default_pool_capacity(pool_pages);
     Ok(Workbook {
         sheets,
         by_name,
@@ -489,10 +489,9 @@ mod tests {
     use super::*;
     use dataspread_relstore::codec::encode_value;
     use dataspread_relstore::codec::put_str;
-    use dataspread_relstore::table::DEFAULT_POOL_PAGES;
     use dataspread_types::Value;
 
-    /// Version-1 metadata streams (pre-formula, pre-pool-capacity) must
+    /// Version-1 metadata streams (pre-formula, pre-reserved-u64) must
     /// still decode: stores written by the previous release stay readable.
     #[test]
     fn version_1_meta_still_decodes() {
@@ -508,12 +507,23 @@ mod tests {
         put_u32(&mut buf, 0);
         put_u32(&mut buf, 0);
         encode_value(&mut buf, &Value::Int(7));
-        // No formula section, no pool capacity: that's the v1 layout.
+        // No formula section, no reserved u64: that's the v1 layout.
         let mut wb = decode_workbook_meta(&buf, Catalog::new()).unwrap();
         let s = wb.current_sheet();
         assert_eq!(wb.cell(s, CellAddr::new(0, 0)), Value::Int(7));
         assert_eq!(wb.sheet(s).formula_count(), 0);
-        assert_eq!(wb.default_pool_capacity(), DEFAULT_POOL_PAGES);
+    }
+
+    /// A crafted sheet count must fail as a truncated stream, not abort
+    /// allocating for it.
+    #[test]
+    fn huge_sheet_count_is_a_storage_error() {
+        let mut buf = vec![WB_META_VERSION, 0u8];
+        put_u32(&mut buf, 0); // current sheet
+        put_u64(&mut buf, 0); // reserved
+        put_u32(&mut buf, u32::MAX); // sheet count
+        let err = decode_workbook_meta(&buf, Catalog::new()).err().unwrap();
+        assert!(matches!(err, DsError::Storage(_)), "{err:?}");
     }
 
     #[test]

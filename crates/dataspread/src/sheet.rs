@@ -616,7 +616,7 @@ impl Sheet {
         };
         let next_row_key = cur.u64()?;
         let nkeys = cur.u64()? as usize;
-        let mut keys = Vec::with_capacity(nkeys);
+        let mut keys = Vec::with_capacity(nkeys.min(cur.remaining()));
         for _ in 0..nkeys {
             keys.push(cur.u64()?);
         }
@@ -774,6 +774,19 @@ mod tests {
             assert_eq!(back.row_of_key(k0), s.row_of_key(k0));
             assert_eq!(back.registered_rows(), s.registered_rows());
         }
+    }
+
+    #[test]
+    fn decode_huge_row_key_count_is_a_storage_error() {
+        use dataspread_relstore::codec::{put_str, put_u64};
+        let mut buf = Vec::new();
+        put_str(&mut buf, "S");
+        buf.push(0); // tiled
+        put_u64(&mut buf, 1); // next row key
+        put_u64(&mut buf, u64::MAX); // row key count
+        let mut cur = dataspread_relstore::codec::Cursor::new(&buf);
+        let err = Sheet::decode(&mut cur, true).err().unwrap();
+        assert!(matches!(err, DsError::Storage(_)), "{err:?}");
     }
 
     #[test]

@@ -362,19 +362,6 @@ impl Workbook {
         &mut self.catalog
     }
 
-    /// Buffer-pool capacity (page frames) given to tables created from now
-    /// on. Persisted in the snapshot header by [`Workbook::save`] and
-    /// restored by [`Workbook::open`], so a reopened workbook keeps the
-    /// memory budget it was tuned with.
-    pub fn set_default_pool_capacity(&mut self, pages: usize) {
-        self.catalog.set_default_pool_capacity(pages);
-    }
-
-    /// The configured per-table buffer-pool capacity.
-    pub fn default_pool_capacity(&self) -> usize {
-        self.catalog.default_pool_capacity()
-    }
-
     /// The executor strategy switches queries run under.
     pub fn exec_options(&self) -> ExecOptions {
         self.exec_options
@@ -536,16 +523,12 @@ impl Workbook {
             DdlInfo::Create { table, existed } => {
                 if !existed {
                     if let Some(store) = self.store.clone() {
-                        let (schema, pool_pages) = {
-                            let t = self.catalog.get(table)?;
-                            (t.schema().clone(), t.pool().capacity() as u64)
-                        };
+                        let schema = self.catalog.get(table)?.schema().clone();
                         store
                             .wal
                             .log(dataspread_relstore::wal::WalOp::CreateTable {
                                 table: table.clone(),
                                 schema,
-                                pool_pages,
                             })?;
                         // The new table logs its DML through the same WAL.
                         store.attach_all(&self.catalog);
@@ -591,8 +574,8 @@ impl Workbook {
     /// One coherent pass over every engine metric: the workbook registry
     /// (executor, calc, binding, VFS, span counters) plus the per-component
     /// counters aggregated at scrape time — the attached WAL writer's
-    /// append/commit/fsync/poison tallies and the per-table buffer pools
-    /// summed across the catalog.
+    /// append/commit/fsync/poison tallies and the per-table page-touch
+    /// counters summed across the catalog.
     pub fn metrics_snapshot(&self) -> dataspread_obs::Snapshot {
         let mut snap = self.obs.registry.snapshot();
         let wal = self
@@ -604,26 +587,15 @@ impl Workbook {
         snap.push_counter("wal_commits", wal.commits.get());
         snap.push_counter("wal_fsyncs", wal.fsyncs.get());
         snap.push_counter("wal_poison_flips", wal.poison_flips.get());
-        let mut pools = dataspread_relstore::PoolSnapshot::default();
+        let (mut reads, mut writes) = (0, 0);
         for name in self.catalog.table_names() {
             if let Ok(t) = self.catalog.get(&name) {
-                let s = t.pool().stats().snapshot();
-                pools.hits += s.hits;
-                pools.misses += s.misses;
-                pools.evictions += s.evictions;
-                pools.dirty_writebacks += s.dirty_writebacks;
-                pools.write_back_errors += s.write_back_errors;
+                reads += t.stats().page_reads();
+                writes += t.stats().page_writes();
             }
         }
-        snap.push_counter("pool_hits", pools.hits);
-        snap.push_counter("pool_misses", pools.misses);
-        snap.push_counter("pool_evictions", pools.evictions);
-        snap.push_counter("pool_writeback_pages", pools.dirty_writebacks);
-        snap.push_counter(
-            "pool_writeback_bytes",
-            pools.dirty_writebacks * dataspread_relstore::PAGE_SIZE as u64,
-        );
-        snap.push_counter("pool_writeback_errors", pools.write_back_errors);
+        snap.push_counter("table_page_reads", reads);
+        snap.push_counter("table_page_writes", writes);
         snap.sort();
         snap
     }

@@ -686,26 +686,6 @@ fn recovery_clears_rows_a_replayed_delete_shrank() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-#[test]
-fn wal_created_table_keeps_configured_pool_capacity() {
-    let dir = std::env::temp_dir().join(format!("dsp-bind-pool-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut wb = Workbook::new();
-    wb.set_default_pool_capacity(7);
-    wb.save(&dir).unwrap();
-    wb.execute("CREATE TABLE t (x INT)").unwrap(); // WAL DDL record
-    assert_eq!(wb.catalog().get("t").unwrap().pool().capacity(), 7);
-    drop(wb);
-
-    let wb = Workbook::open(&dir).unwrap();
-    assert_eq!(
-        wb.catalog().get("t").unwrap().pool().capacity(),
-        7,
-        "replayed CREATE TABLE restores the configured capacity"
-    );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
 /// Crash injection: truncate the WAL at every prefix length and reopen. The
 /// recovered workbook must always satisfy the convergence invariant —
 /// whatever op prefix survived, the grid and the tables agree.

@@ -195,17 +195,24 @@ fn vfs_and_pool_metrics_appear_after_persistence() {
     drop(wb);
 
     // Reopen: recovery I/O is metered too (the meter is adopted into the
-    // fresh workbook's registry), and pool counters aggregate per table.
-    // Queries scan plan-time snapshots and bypass the pool; DML is the
-    // path that touches frames.
+    // fresh workbook's registry), and page-touch counters aggregate per
+    // table. Queries scan plan-time snapshots and bypass them; DML is the
+    // path that touches pages.
     let mut wb = Workbook::open(&dir).unwrap();
+    let before = wb.metrics_snapshot();
+    wb.execute("SELECT * FROM ev").unwrap();
+    let queried = wb.metrics_snapshot();
     wb.execute("INSERT INTO ev VALUES (100, 1, 1)").unwrap();
     let snap = wb.metrics_snapshot();
     assert!(snap.counter("vfs_file_reads").unwrap() > 0, "open read");
     assert!(snap.counter("vfs_read_bytes").unwrap() > 0);
+    let touches = |s: &dataspread::obs::Snapshot| {
+        s.counter("table_page_reads").unwrap() + s.counter("table_page_writes").unwrap()
+    };
+    assert_eq!(touches(&queried), touches(&before), "SELECT bypasses them");
     assert!(
-        snap.counter("pool_hits").unwrap() + snap.counter("pool_misses").unwrap() > 0,
-        "DML touched the buffer pool"
+        snap.counter("table_page_writes").unwrap() > queried.counter("table_page_writes").unwrap(),
+        "DML wrote a page"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

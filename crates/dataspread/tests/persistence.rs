@@ -419,33 +419,6 @@ fn replayed_formulas_typed_after_structural_edits_keep_coordinates() {
 }
 
 #[test]
-fn pool_capacity_survives_reopen() {
-    let dir = tmp_dir("poolcap");
-    let mut wb = Workbook::new();
-    wb.set_default_pool_capacity(7);
-    wb.execute("CREATE TABLE tuned (x INT)").unwrap();
-    assert_eq!(
-        wb.catalog().get("tuned").unwrap().pool().capacity(),
-        7,
-        "configured capacity applies to tables created via SQL"
-    );
-    wb.save(&dir).unwrap();
-    drop(wb);
-
-    let mut wb = Workbook::open(&dir).unwrap();
-    assert_eq!(
-        wb.default_pool_capacity(),
-        7,
-        "capacity persisted in the snapshot header"
-    );
-    assert_eq!(wb.catalog().get("tuned").unwrap().pool().capacity(), 7);
-    // Tables created after reopening inherit the restored budget.
-    wb.execute("CREATE TABLE later (y INT)").unwrap();
-    assert_eq!(wb.catalog().get("later").unwrap().pool().capacity(), 7);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn repeated_saves_and_reopens_are_stable() {
     let dir = tmp_dir("repeat");
     let mut wb = build_workbook();

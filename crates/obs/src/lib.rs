@@ -252,34 +252,14 @@ pub const METRICS: &[MetricSpec] = &[
         help: "Times the WAL writer flipped into the sticky poisoned state",
     },
     MetricSpec {
-        name: "pool_hits",
+        name: "table_page_reads",
         kind: MetricKind::Counter,
-        help: "Buffer-pool accesses that found their page resident",
+        help: "Logical table page reads by live-table DML and scans (TableStats)",
     },
     MetricSpec {
-        name: "pool_misses",
+        name: "table_page_writes",
         kind: MetricKind::Counter,
-        help: "Buffer-pool accesses that faulted their page in",
-    },
-    MetricSpec {
-        name: "pool_evictions",
-        kind: MetricKind::Counter,
-        help: "Buffer-pool frames evicted to make room",
-    },
-    MetricSpec {
-        name: "pool_writeback_pages",
-        kind: MetricKind::Counter,
-        help: "Dirty frames written back on eviction or flush",
-    },
-    MetricSpec {
-        name: "pool_writeback_bytes",
-        kind: MetricKind::Counter,
-        help: "Bytes of dirty pages written back (pages x page size)",
-    },
-    MetricSpec {
-        name: "pool_writeback_errors",
-        kind: MetricKind::Counter,
-        help: "Write-backs whose physical scratch write failed",
+        help: "Logical table page writes by DML and schema changes (TableStats)",
     },
     MetricSpec {
         name: "vfs_file_reads",
@@ -457,7 +437,7 @@ impl Registry {
     }
 
     /// Attach an existing counter handle under `name`, replacing any prior
-    /// registration — how a component-owned counter (a WAL's, a pool's)
+    /// registration — how a component-owned counter (a WAL's)
     /// becomes scrape-visible without moving its hot path through the
     /// registry.
     pub fn register_counter(&self, name: &str, c: &Counter) {
@@ -861,12 +841,12 @@ mod tests {
         r.counter("wal_commits").add(42);
         r.histogram("vfs_fsync_ns", &[1000]).observe(500);
         let mut snap = r.snapshot();
-        snap.push_counter("pool_hits", 7);
+        snap.push_counter("table_page_reads", 7);
         snap.sort();
         let text = snap.prometheus_text();
         assert!(text.contains("# TYPE wal_commits counter"), "{text}");
         assert!(text.contains("wal_commits 42\n"), "{text}");
-        assert!(text.contains("pool_hits 7\n"), "{text}");
+        assert!(text.contains("table_page_reads 7\n"), "{text}");
         assert!(
             text.contains("vfs_fsync_ns_bucket{le=\"1000\"} 1"),
             "{text}"

@@ -108,7 +108,7 @@ impl BindingMeta {
         let col = cur.u32()?;
         let model = BindModel::from_code(cur.u8()?)?;
         let ncols = cur.u32()? as usize;
-        let mut cols = Vec::with_capacity(ncols);
+        let mut cols = Vec::with_capacity(ncols.min(cur.remaining()));
         for _ in 0..ncols {
             cols.push(cur.u32()?);
         }
@@ -145,6 +145,26 @@ mod tests {
         let back = BindingMeta::decode(&mut cur).unwrap();
         assert!(cur.is_empty());
         assert_eq!(back, meta);
+    }
+
+    #[test]
+    fn huge_column_count_is_a_storage_error() {
+        let meta = BindingMeta {
+            id: 1,
+            sheet: "S".into(),
+            table: "t".into(),
+            row: 0,
+            col: 0,
+            model: BindModel::Com,
+            cols: vec![],
+        };
+        let mut buf = Vec::new();
+        meta.encode(&mut buf);
+        // The trailing u32 is the column count.
+        let n = buf.len();
+        buf[n - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = BindingMeta::decode(&mut Cursor::new(&buf)).unwrap_err();
+        assert!(matches!(err, DsError::Storage(_)), "{err:?}");
     }
 
     #[test]

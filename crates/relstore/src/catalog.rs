@@ -69,10 +69,6 @@ fn write_shard(shard: &RwLock<Table>) -> RwLockWriteGuard<'_, Table> {
 pub struct Catalog {
     /// Keyed by lower-cased name (SQL identifiers are case-insensitive).
     tables: HashMap<String, TableShard>,
-    /// Buffer-pool capacity (page frames) given to tables created through
-    /// this catalog. Workbook-configurable and persisted in the snapshot, so
-    /// a reopened store keeps the memory budget it was tuned with.
-    default_pool_pages: usize,
 }
 
 impl Default for Catalog {
@@ -86,23 +82,11 @@ impl Catalog {
     pub fn new() -> Self {
         Catalog {
             tables: HashMap::new(),
-            default_pool_pages: crate::table::DEFAULT_POOL_PAGES,
         }
     }
 
     fn key(name: &str) -> String {
         name.to_ascii_lowercase()
-    }
-
-    /// Buffer-pool capacity new tables are created with.
-    pub fn default_pool_capacity(&self) -> usize {
-        self.default_pool_pages
-    }
-
-    /// Set the buffer-pool capacity for tables created from now on (existing
-    /// tables keep their pools). Clamped to at least one frame.
-    pub fn set_default_pool_capacity(&mut self, pages: usize) {
-        self.default_pool_pages = pages.max(1);
     }
 
     /// Create a table with the default (hybrid) layout.
@@ -126,12 +110,7 @@ impl Catalog {
         }
         self.tables.insert(
             k.clone(),
-            Arc::new(RwLock::new(Table::with_pool_capacity(
-                name,
-                schema,
-                policy,
-                self.default_pool_pages,
-            ))),
+            Arc::new(RwLock::new(Table::new(name, schema, policy))),
         );
         match self.tables.get(&k) {
             Some(shard) => Ok(TableRefMut(write_shard(shard))),

@@ -10,16 +10,15 @@
 //!   bounded-width hybrid; experiment `C2` benchmarks `ALTER TABLE` across
 //!   them.
 //! * Fragments live in slotted 4 KiB [`page::Page`]s; every logical page
-//!   touch is counted ([`table::TableStats`]) and routed through a bounded
-//!   LRU [`bufferpool::BufferPool`], restoring the memory/disk cost boundary
-//!   the paper reasons about.
+//!   touch is counted ([`table::TableStats`]) — the paper's "disk blocks
+//!   touched" cost model, counted exactly rather than simulated.
 //! * A table attached to a **durable store** writes real bytes: the
 //!   [`pager::PageFile`] maps pages to frames of a checksummed on-disk file,
 //!   the [`wal::WalWriter`] appends CRC-framed redo records fsynced on
 //!   commit, and [`snapshot`] implements checkpointing plus ARIES-lite
-//!   recovery (replay committed records, truncate the torn tail). The
-//!   buffer-pool counters thereby graduate from simulation to measurements
-//!   of actual I/O. Formats and protocol: `docs/STORAGE.md`.
+//!   recovery (replay committed records, truncate the torn tail). Pages
+//!   reach the page file only at checkpoints. Formats and protocol:
+//!   `docs/STORAGE.md`.
 //! * Each table maintains its presentation order in a positional index
 //!   (`dataspread-posindex`), so windowed scans and positional inserts — the
 //!   operations a spreadsheet interface issues — are O(log n).
@@ -29,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod binding;
-pub mod bufferpool;
 pub mod catalog;
 pub mod codec;
 pub mod crc;
@@ -44,7 +42,6 @@ pub mod vfs;
 pub mod wal;
 
 pub use binding::{BindModel, BindingMeta};
-pub use bufferpool::{BufferPool, PageRef, PoolSnapshot, PoolStats};
 pub use catalog::{Catalog, TableRef, TableRefMut, TableShard, DEFAULT_POLICY};
 pub use metered::{MeteredVfs, VfsMeter};
 pub use page::{Page, PAGE_SIZE};

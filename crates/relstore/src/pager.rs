@@ -9,14 +9,12 @@
 //!
 //! Frames are append-allocated. A checkpoint (see [`crate::snapshot`])
 //! writes every table page into frames `0..n` and the metadata stream after
-//! them; between checkpoints, dirty buffer-pool evictions append
-//! copy-on-write *scratch* frames past the checkpointed region — real bytes
-//! hitting the disk for every modeled write-back, reclaimed when the next
-//! checkpoint rewrites the file. Recovery reads only the frames the header
-//! references, so scratch frames never need to be replay-consistent.
+//! them, into a fresh file. Nothing else writes frames: between checkpoints
+//! DML reaches disk only through the WAL, so the page file is exactly the
+//! last checkpoint.
 //!
 //! All methods take `&self`: the file handle and header state live behind a
-//! mutex so the buffer pool's write-back hook can fire from shared contexts.
+//! mutex, so a shared `Arc<PageFile>` can be read from any context.
 //!
 //! All physical I/O goes through a [`Vfs`] (see [`crate::vfs`]); the
 //! convenience constructors [`PageFile::create`]/[`PageFile::open`] use the
@@ -56,7 +54,7 @@ pub type FrameId = u64;
 /// Physical I/O counters for a [`PageFile`].
 #[derive(Debug, Default)]
 pub struct PageFileStats {
-    /// Frames written (checkpoint, metadata, and scratch write-backs).
+    /// Frames written (checkpoint pages and metadata).
     pub frames_written: AtomicU64,
     /// Frames read back (recovery and snapshot load).
     pub frames_read: AtomicU64,
@@ -227,7 +225,7 @@ impl PageFile {
         self.inner().generation
     }
 
-    /// Frames currently allocated (checkpoint + scratch).
+    /// Frames currently allocated (written by the checkpoint).
     pub fn frame_count(&self) -> u64 {
         self.inner().frame_count
     }

@@ -30,7 +30,6 @@ use std::sync::Arc;
 use dataspread_posindex::{CountedBtree, PositionalIndex, RowKey};
 use dataspread_types::{DsError, DsResult, Value};
 
-use crate::bufferpool::BufferPool;
 use crate::codec::{decode_fragment, encode_fragment};
 use crate::page::{Page, SlotId, PAGE_SIZE};
 use crate::pager::PageFile;
@@ -129,9 +128,6 @@ impl Group {
     }
 }
 
-/// Default buffer-pool capacity per table, in page frames.
-pub const DEFAULT_POOL_PAGES: usize = 1024;
-
 /// A stored relation.
 #[derive(Debug)]
 pub struct Table {
@@ -147,11 +143,8 @@ pub struct Table {
     /// so snapshots share it copy-on-write with writers.
     order: Arc<CountedBtree>,
     stats: TableStats,
-    pool: BufferPool,
     /// Redo log for DML when the table is attached to a durable store.
     wal: Option<Arc<WalWriter>>,
-    /// Page file receiving dirty-eviction write-backs when attached.
-    pager: Option<Arc<PageFile>>,
     /// In-memory mutation counter: bumped by every DML and schema change, so
     /// observers (the engine's binding layer) can skip work when a table has
     /// not changed. Not persisted — restarts reset it to zero.
@@ -162,18 +155,8 @@ pub struct Table {
 }
 
 impl Table {
-    /// A table with the default buffer-pool capacity.
+    /// An empty table laid out under `policy`.
     pub fn new(name: impl Into<String>, schema: Schema, policy: GroupPolicy) -> Self {
-        Table::with_pool_capacity(name, schema, policy, DEFAULT_POOL_PAGES)
-    }
-
-    /// A table whose buffer pool holds `pool_pages` frames.
-    pub fn with_pool_capacity(
-        name: impl Into<String>,
-        schema: Schema,
-        policy: GroupPolicy,
-        pool_pages: usize,
-    ) -> Self {
         let groups: Vec<Group> = policy
             .partition(schema.width())
             .into_iter()
@@ -190,9 +173,7 @@ impl Table {
             pk_index: BTreeMap::new(),
             order: Arc::new(CountedBtree::new()),
             stats: TableStats::default(),
-            pool: BufferPool::new(pool_pages),
             wal: None,
-            pager: None,
             version: 0,
             statistics,
         };
@@ -246,11 +227,6 @@ impl Table {
         &self.stats
     }
 
-    /// The table's buffer pool.
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
     /// Number of attribute groups (for tests/benches).
     pub fn group_count(&self) -> usize {
         self.groups.len()
@@ -266,61 +242,27 @@ impl Table {
         self.groups.iter().map(|g| g.pages.len()).collect()
     }
 
-    fn touch_read(&self, g: usize, page: u32) -> DsResult<()> {
+    fn touch_read(&self) {
         self.stats.page_reads.fetch_add(1, Ordering::Relaxed);
-        let evicted = self.pool.access((g as u32, page), false);
-        self.writeback(evicted)
     }
 
-    fn touch_write(&self, g: usize, page: u32) -> DsResult<()> {
+    fn touch_write(&self) {
         self.stats.page_writes.fetch_add(1, Ordering::Relaxed);
-        let evicted = self.pool.access((g as u32, page), true);
-        self.writeback(evicted)
-    }
-
-    /// The buffer pool's write-back hook: when a dirty frame is evicted and
-    /// a durable store is attached, flush the page's real bytes as a
-    /// copy-on-write scratch frame (recovery never reads scratch frames —
-    /// the authoritative chain is checkpoint + WAL; see `docs/STORAGE.md`).
-    ///
-    /// Scratch frames being advisory, a failed physical write is *counted*
-    /// ([`PoolStats::write_back_errors`]) instead of propagated: evictions
-    /// fire inside read paths too, and a full disk must degrade the store
-    /// to read-only (the WAL's job), not kill reads.
-    fn writeback(&self, evicted: Option<(u32, u32)>) -> DsResult<()> {
-        let Some((g, p)) = evicted else { return Ok(()) };
-        let Some(pager) = &self.pager else {
-            return Ok(());
-        };
-        // Stale refs (a group dropped or rewritten since the frame was
-        // cached) have nothing left to flush.
-        if let Some(page) = self
-            .groups
-            .get(g as usize)
-            .and_then(|group| group.pages.get(p as usize))
-        {
-            if pager.append_frame(&page.to_image()).is_err() {
-                self.pool.stats().write_back_errors.bump();
-            }
-        }
-        Ok(())
     }
 
     // ---- durability --------------------------------------------------------
 
     /// Attach this table to a durable store: DML appends redo records to
-    /// `wal`, and dirty buffer-pool evictions write real page bytes through
-    /// `pager`. Called by the snapshot layer after a checkpoint or open.
-    pub fn attach_durability(&mut self, wal: Arc<WalWriter>, pager: Arc<PageFile>) {
+    /// `wal`. Pages reach the page file only at checkpoints. Called by the
+    /// snapshot layer after a checkpoint or open.
+    pub fn attach_durability(&mut self, wal: Arc<WalWriter>) {
         self.wal = Some(wal);
-        self.pager = Some(pager);
     }
 
     /// Detach from the durable store; the table reverts to pure in-memory
-    /// operation with modeled I/O counters.
+    /// operation.
     pub fn detach_durability(&mut self) {
         self.wal = None;
-        self.pager = None;
     }
 
     /// Is this table writing through to a durable store?
@@ -382,7 +324,7 @@ impl Table {
         let pidx = (group.pages.len() - 1) as u32;
         let slot = Arc::make_mut(&mut group.pages[pidx as usize]).insert(&bytes)?;
         Arc::make_mut(&mut group.rowdir).insert(key, (pidx, slot));
-        self.touch_write(g, pidx)?;
+        self.touch_write();
         Ok(())
     }
 
@@ -392,7 +334,7 @@ impl Table {
         let group = &self.groups[g];
         match group.rowdir.get(&key) {
             Some(&(pidx, slot)) => {
-                self.touch_read(g, pidx)?;
+                self.touch_read();
                 let bytes = group.pages[pidx as usize].read(slot)?;
                 decode_fragment(bytes)
             }
@@ -409,7 +351,7 @@ impl Table {
                 let bytes = encode_fragment(values);
                 let fits =
                     Arc::make_mut(&mut self.groups[g].pages[pidx as usize]).update(slot, &bytes)?;
-                self.touch_write(g, pidx)?;
+                self.touch_write();
                 if !fits {
                     // Relocate: tombstone the old copy, append elsewhere.
                     Arc::make_mut(&mut self.groups[g].pages[pidx as usize]).delete(slot)?;
@@ -666,7 +608,7 @@ impl Table {
         for g in 0..self.groups.len() {
             if let Some((pidx, slot)) = Arc::make_mut(&mut self.groups[g].rowdir).remove(&key) {
                 Arc::make_mut(&mut self.groups[g].pages[pidx as usize]).delete(slot)?;
-                self.touch_write(g, pidx)?;
+                self.touch_write();
             }
         }
         let pos = Arc::make_mut(&mut self.order).remove_key(key)?;
@@ -859,9 +801,9 @@ impl Table {
     fn rewrite_group(&mut self, g: usize, transform: impl Fn(&mut Vec<Value>)) -> DsResult<()> {
         let old_pages = std::mem::take(&mut self.groups[g].pages);
         let old_rowdir = std::mem::take(&mut self.groups[g].rowdir);
-        for pidx in 0..old_pages.len() {
-            self.touch_read(g, pidx as u32)?;
-        }
+        self.stats
+            .page_reads
+            .fetch_add(old_pages.len() as u64, Ordering::Relaxed);
         // Preserve a deterministic order: iterate rows in page order.
         let mut frags: Vec<(RowKey, Vec<Value>)> = Vec::with_capacity(old_rowdir.len());
         let mut by_loc: Vec<(&RowKey, &(u32, SlotId))> = old_rowdir.iter().collect();
@@ -910,12 +852,9 @@ impl Table {
 
     /// Write every page into fresh pager frames and encode the table's
     /// snapshot metadata (schema, policy, row order, per-group directories,
-    /// frame ids) into `buf`. Also empties the buffer pool — a checkpoint
-    /// *forces* all pages, so nothing stays dirty. Byte layout in
-    /// `docs/STORAGE.md`.
+    /// frame ids) into `buf`. Byte layout in `docs/STORAGE.md`.
     pub(crate) fn encode_snapshot(&self, pager: &PageFile, buf: &mut Vec<u8>) -> DsResult<()> {
         use crate::codec::{encode_value, put_str, put_u16, put_u32, put_u64};
-        self.pool.flush();
         put_str(buf, &self.name);
         match self.policy {
             GroupPolicy::RowStore => buf.push(0),
@@ -926,7 +865,8 @@ impl Table {
             }
         }
         put_u64(buf, self.next_key);
-        put_u64(buf, self.pool.capacity() as u64);
+        // Reserved (was the buffer-pool capacity): written as zero.
+        put_u64(buf, 0);
         // Schema: columns then pkey indices (layout shared with the WAL's
         // CREATE TABLE record).
         self.schema.encode(buf);
@@ -965,7 +905,7 @@ impl Table {
     }
 
     /// Rebuild a table from snapshot metadata, reading its pages back from
-    /// the pager. The result is detached (no WAL/pager); the snapshot layer
+    /// the pager. The result is detached (no WAL); the snapshot layer
     /// attaches it after recovery so replay does not re-log itself.
     pub(crate) fn decode_snapshot(
         cur: &mut crate::codec::Cursor<'_>,
@@ -985,10 +925,11 @@ impl Table {
             }
         };
         let next_key = cur.u64()?;
-        let pool_pages = (cur.u64()? as usize).max(1);
+        // Reserved (was the buffer-pool capacity): read and ignored.
+        cur.u64()?;
         let schema = Schema::decode(cur)?;
         let norder = cur.u64()? as usize;
-        let mut order_keys = Vec::with_capacity(norder);
+        let mut order_keys = Vec::with_capacity(norder.min(cur.remaining()));
         for _ in 0..norder {
             order_keys.push(cur.u64()?);
         }
@@ -1005,13 +946,13 @@ impl Table {
                 defaults.push(cur.value()?);
             }
             let npages = cur.u32()? as usize;
-            let mut pages = Vec::with_capacity(npages);
+            let mut pages = Vec::with_capacity(npages.min(cur.remaining()));
             for _ in 0..npages {
                 let frame = cur.u64()?;
                 pages.push(Arc::new(Page::from_image(&pager.read_frame(frame)?)?));
             }
             let ndir = cur.u32()? as usize;
-            let mut rowdir = HashMap::with_capacity(ndir);
+            let mut rowdir = HashMap::with_capacity(ndir.min(cur.remaining()));
             for _ in 0..ndir {
                 let key = cur.u64()?;
                 let pidx = cur.u32()?;
@@ -1036,9 +977,7 @@ impl Table {
             pk_index: BTreeMap::new(),
             order: Arc::new(CountedBtree::from_keys(order_keys)?),
             stats: TableStats::default(),
-            pool: BufferPool::new(pool_pages),
             wal: None,
-            pager: None,
             version: 0,
             statistics,
         };
@@ -1157,10 +1096,9 @@ impl Iterator for RowIter<'_> {
 /// time — the read side of the engine's snapshot isolation (see
 /// [`Table::snapshot`]).
 ///
-/// Snapshot reads deliberately bypass the buffer pool and the logical I/O
-/// counters: the pool's LRU mutex is the writer-side contention point, and a
-/// snapshot is already fully resident (it pins its pages via `Arc`), so
-/// parallel readers touch no shared mutable state at all.
+/// Snapshot reads deliberately bypass the logical I/O counters
+/// ([`TableStats`]): a snapshot is already fully resident (it pins its pages
+/// via `Arc`), so parallel readers touch no shared mutable state at all.
 #[derive(Clone, Debug)]
 pub struct TableSnapshot {
     name: String,
@@ -1727,5 +1665,42 @@ mod tests {
         let snap_rows: Vec<_> = s.into_iter_sparse(Some(&[2])).map(|r| r.unwrap()).collect();
         let table_rows: Vec<_> = t.iter_rows_sparse(Some(&[2])).map(|r| r.unwrap()).collect();
         assert_eq!(snap_rows, table_rows);
+    }
+
+    /// A crafted snapshot whose row-order, page or row-directory count is
+    /// huge must fail as a truncated stream, not abort allocating for it.
+    #[test]
+    fn decode_snapshot_rejects_huge_counts() {
+        use crate::codec::{encode_value, put_str, put_u16, put_u32, put_u64};
+        let vfs: Arc<dyn crate::vfs::Vfs> = Arc::new(crate::vfs::FaultVfs::default());
+        let pager = PageFile::create_with(&vfs, "/data.dsp", 1).unwrap();
+        let schema = Schema::new(vec![ColumnDef::new("x", DataType::Int)]).unwrap();
+        // `tail` picks which count is huge: 0 = order, 1 = pages, 2 = rowdir.
+        for tail in 0..3 {
+            let mut buf = Vec::new();
+            put_str(&mut buf, "t");
+            buf.push(0); // row store
+            put_u64(&mut buf, 1); // next key
+            put_u64(&mut buf, 0); // reserved
+            schema.encode(&mut buf);
+            if tail == 0 {
+                put_u64(&mut buf, u64::MAX);
+            } else {
+                put_u64(&mut buf, 0);
+                put_u16(&mut buf, 1); // one group
+                put_u16(&mut buf, 1); // of one column
+                put_u32(&mut buf, 0);
+                encode_value(&mut buf, &Value::Empty);
+                if tail == 1 {
+                    put_u32(&mut buf, u32::MAX);
+                } else {
+                    put_u32(&mut buf, 0);
+                    put_u32(&mut buf, u32::MAX);
+                }
+            }
+            let mut cur = crate::codec::Cursor::new(&buf);
+            let err = Table::decode_snapshot(&mut cur, &pager).unwrap_err();
+            assert!(matches!(err, DsError::Storage(_)), "{err:?}");
+        }
     }
 }

@@ -297,10 +297,6 @@ pub enum WalOp {
         table: String,
         /// The schema the table was created with.
         schema: Schema,
-        /// Buffer-pool capacity (frames) the table was created with —
-        /// replay restores it directly, because the workbook's configured
-        /// default is not yet decoded when the WAL replays.
-        pool_pages: u64,
     },
     /// `DROP TABLE` (DDL redo record).
     DropTable {
@@ -448,16 +444,13 @@ fn encode_record(rec: &WalRecord) -> Vec<u8> {
                 put_u64(&mut buf, *txn);
                 put_u64(&mut buf, *id);
             }
-            WalOp::CreateTable {
-                table,
-                schema,
-                pool_pages,
-            } => {
+            WalOp::CreateTable { table, schema } => {
                 buf.push(TAG_CREATE_TABLE);
                 put_u64(&mut buf, *txn);
                 put_str(&mut buf, table);
                 schema.encode(&mut buf);
-                put_u64(&mut buf, *pool_pages);
+                // Reserved (was the buffer-pool capacity): written as zero.
+                put_u64(&mut buf, 0);
             }
             WalOp::DropTable { table } => {
                 buf.push(TAG_DROP_TABLE);
@@ -582,14 +575,11 @@ fn decode_record(payload: &[u8]) -> DsResult<WalRecord> {
         TAG_CREATE_TABLE => {
             let table = cur.str()?;
             let schema = Schema::decode(&mut cur)?;
-            let pool_pages = cur.u64()?;
+            // Reserved (was the buffer-pool capacity): read and ignored.
+            cur.u64()?;
             WalRecord::Op {
                 txn,
-                op: WalOp::CreateTable {
-                    table,
-                    schema,
-                    pool_pages,
-                },
+                op: WalOp::CreateTable { table, schema },
             }
         }
         TAG_DROP_TABLE => WalRecord::Op {
@@ -1088,16 +1078,11 @@ pub fn apply_committed(catalog: &mut Catalog, ops: &[WalOp]) -> DsResult<usize> 
             WalOp::Delete { table, key } => {
                 catalog.get_mut(table)?.delete_row(*key)?;
             }
-            WalOp::CreateTable {
-                table,
-                schema,
-                pool_pages,
-            } => {
-                let t = crate::table::Table::with_pool_capacity(
+            WalOp::CreateTable { table, schema } => {
+                let t = crate::table::Table::new(
                     table.clone(),
                     schema.clone(),
                     crate::catalog::DEFAULT_POLICY,
-                    (*pool_pages as usize).max(1),
                 );
                 catalog.insert_table(t)?;
             }
@@ -1235,7 +1220,6 @@ mod tests {
                     .unwrap()
                     .with_pkey(&["id"])
                     .unwrap(),
-                    pool_pages: 64,
                 },
             },
             WalRecord::Op {

@@ -13,8 +13,7 @@
 //!   commit prefix before it (a redo log cannot skip holes).
 //! * **Flipped page-file byte** — recovery must either detect the damage
 //!   (checksum error) or be provably unaffected (the flip landed in a frame
-//!   hole or a scratch write-back region, neither of which recovery reads);
-//!   it must never decode garbage state.
+//!   hole, which recovery never reads); it must never decode garbage state.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -228,8 +227,8 @@ fn corrupted_page_file_detected_or_provably_unaffected() {
                 // Detected: header or frame checksum caught the flip.
                 Err(_) => {}
                 // Unaffected: the flip landed in bytes recovery never
-                // reads (frame holes, scratch write-backs). The recovered
-                // state must still be exactly the last committed one.
+                // reads (frame holes). The recovered state must still be
+                // exactly the last committed one.
                 Ok(loaded) => {
                     assert_eq!(
                         fingerprint(&loaded.catalog),
