@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run -p dataspread --example demo`.
 
-use dataspread::{BindModel, StoreKind, Workbook};
+use dataspread::{BindModel, Workbook};
 use dataspread_types::{CellAddr, Range, Value};
 
 fn a(s: &str) -> CellAddr {
@@ -11,7 +11,7 @@ fn a(s: &str) -> CellAddr {
 }
 
 fn main() {
-    let mut wb = Workbook::with_store(StoreKind::Tiled);
+    let mut wb = Workbook::new();
     let sheet = wb.current_sheet();
 
     // A grade book typed straight onto the grid.

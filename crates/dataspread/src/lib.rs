@@ -22,8 +22,7 @@
 //! What the engine adds:
 //!
 //! * [`Workbook`] / [`Sheet`] — sheets hold schemaless interface data in a
-//!   pluggable cell store ([`StoreKind`]), with stable row identity through
-//!   structural edits.
+//!   tiled cell store, with stable row identity through structural edits.
 //! * Formulas — `=SUM(A1:B2)` cells ([`Workbook::set_input`]) parsed by
 //!   `dataspread_formula`, tracked in a cross-sheet dependency graph, and
 //!   recomputed *incrementally* in topological order ([`crate::calc`]);
@@ -37,8 +36,7 @@
 //!   boundary crossing, with automatic schema inference (paper §2.2).
 //! * Positional DML — [`Workbook::insert_tuple_at`] and
 //!   [`Workbook::fetch_window`] route through the counted B-tree, making
-//!   "insert a row between rows k and k+1" O(log n); [`TableView`] exposes
-//!   the same operations over either index for the paper's C3 comparison.
+//!   "insert a row between rows k and k+1" O(log n).
 //!
 //! ## Quick start
 //!
@@ -80,7 +78,6 @@ pub mod exec;
 pub(crate) mod metrics;
 pub mod persist;
 pub mod sheet;
-pub mod view;
 pub mod workbook;
 
 pub use bind::{BindModel, BindingMeta};
@@ -88,8 +85,7 @@ pub use calc::CalcStats;
 pub use concurrent::{ReadSession, SharedWorkbook, WorkbookSnapshot};
 pub use engine::QueryResult;
 pub use exec::ExecOptions;
-pub use sheet::{Sheet, StoreKind};
-pub use view::TableView;
+pub use sheet::Sheet;
 pub use workbook::{EngineHealth, SheetId, Workbook};
 
 // Re-export the layer crates so downstream users need only one dependency.

@@ -8,7 +8,7 @@
 //! [`dataspread_relstore::snapshot`]; this module contributes the
 //! engine-level metadata riding in the snapshot's `extra_meta` stream:
 //! every sheet's cells and stable row keys, the current-sheet pointer, the
-//! default store kind, and the table-binding registry.
+//! table-binding registry, and the optimizer statistics.
 //!
 //! Durability boundaries after [`Workbook::save`] attaches the store:
 //!
@@ -43,7 +43,7 @@ use dataspread_types::{CellAddr, DsError, DsResult};
 use crate::bind::BindingRegistry;
 use crate::exec::ExecOptions;
 use crate::metrics::WbObs;
-use crate::sheet::{Sheet, StoreKind};
+use crate::sheet::Sheet;
 use crate::workbook::Workbook;
 
 /// Version byte of the workbook metadata stream. Version 2 added a `u64`
@@ -73,11 +73,8 @@ fn on_disk_generation(vfs: &Arc<dyn Vfs>, dir: &Path) -> u64 {
 pub(crate) fn encode_workbook_meta(wb: &Workbook) -> Vec<u8> {
     let mut buf = Vec::new();
     buf.push(WB_META_VERSION);
-    buf.push(match wb.default_store {
-        StoreKind::Tiled => 0,
-        StoreKind::Block => 1,
-        StoreKind::Naive => 2,
-    });
+    // Reserved (was the default store kind): written as zero.
+    buf.push(0);
     put_u32(&mut buf, wb.current as u32);
     // Reserved (was the default buffer-pool capacity): written as zero.
     put_u64(&mut buf, 0);
@@ -126,16 +123,8 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
             "workbook snapshot: unsupported version {version}"
         )));
     }
-    let default_store = match cur.u8()? {
-        0 => StoreKind::Tiled,
-        1 => StoreKind::Block,
-        2 => StoreKind::Naive,
-        other => {
-            return Err(DsError::Storage(format!(
-                "workbook snapshot: bad store kind {other}"
-            )))
-        }
-    };
+    // Reserved (was the default store kind): ignored.
+    cur.u8()?;
     let current = cur.u32()? as usize;
     // Version 1 predates the reserved u64 and the formula sections; it
     // decodes with literal-only cells.
@@ -216,7 +205,6 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
         by_name,
         catalog,
         current,
-        default_store,
         exec_options: ExecOptions::default(),
         store: None,
         obs: WbObs::default(),
@@ -496,11 +484,11 @@ mod tests {
     #[test]
     fn version_1_meta_still_decodes() {
         let mut buf = vec![1u8]; // version 1
-        buf.push(0); // default_store: Tiled
+        buf.push(0); // reserved (default store kind)
         put_u32(&mut buf, 0); // current sheet
         put_u32(&mut buf, 1); // one sheet
         put_str(&mut buf, "Sheet1");
-        buf.push(0); // store kind Tiled
+        buf.push(0); // reserved (store kind)
         put_u64(&mut buf, 1); // next_row_key
         put_u64(&mut buf, 0); // no registered rows
         put_u64(&mut buf, 1); // one cell
@@ -512,6 +500,55 @@ mod tests {
         let s = wb.current_sheet();
         assert_eq!(wb.cell(s, CellAddr::new(0, 0)), Value::Int(7));
         assert_eq!(wb.sheet(s).formula_count(), 0);
+    }
+
+    /// Sheets once chose among three cell stores and recorded the choice
+    /// (0 Tiled, 1 Block, 2 Naive) in the default-store byte and in each
+    /// sheet's store byte. Both bytes are reserved now: a version-4 stream
+    /// written with a Block and a Naive sheet decodes with identical cells
+    /// and formula sources.
+    #[test]
+    fn block_and_naive_store_bytes_still_decode() {
+        let (formula_at, src) = (CellAddr::new(0, 2), "=A1*2");
+        let cells = [
+            (CellAddr::new(0, 0), Value::Int(21)),
+            (CellAddr::new(3, 1), Value::text("far")),
+            (formula_at, Value::Int(42)), // the formula's cached value
+        ];
+        let mut buf = vec![4u8, 1]; // version 4; default store was Block
+        put_u32(&mut buf, 1); // current sheet
+        put_u64(&mut buf, 0); // reserved
+        put_u32(&mut buf, 2); // two sheets
+        for (name, store_byte) in [("Blocks", 1u8), ("Naive", 2)] {
+            put_str(&mut buf, name);
+            buf.push(store_byte);
+            put_u64(&mut buf, 1); // next_row_key
+            put_u64(&mut buf, 0); // no registered rows
+            put_u64(&mut buf, cells.len() as u64);
+            for (a, v) in &cells {
+                put_u32(&mut buf, a.row);
+                put_u32(&mut buf, a.col);
+                encode_value(&mut buf, v);
+            }
+            put_u64(&mut buf, 1); // one formula
+            put_u32(&mut buf, formula_at.row);
+            put_u32(&mut buf, formula_at.col);
+            put_str(&mut buf, src);
+        }
+        put_u64(&mut buf, 1); // binding id watermark
+        put_u32(&mut buf, 0); // no bindings
+        put_u32(&mut buf, 0); // no statistics
+        let wb = decode_workbook_meta(&buf, Catalog::new()).unwrap();
+        assert_eq!(wb.current_sheet(), wb.sheet_id("Naive").unwrap());
+        for name in ["Blocks", "Naive"] {
+            let sheet = wb.sheet(wb.sheet_id(name).unwrap());
+            assert_eq!(sheet.cell_count(), cells.len(), "{name}");
+            for (a, v) in &cells {
+                assert_eq!(&sheet.value(*a), v, "{name}");
+            }
+            assert_eq!(sheet.formula_count(), 1, "{name}");
+            assert_eq!(sheet.formula_text(formula_at), Some(src), "{name}");
+        }
     }
 
     /// A crafted sheet count must fail as a truncated stream, not abort

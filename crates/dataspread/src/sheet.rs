@@ -1,8 +1,8 @@
 //! A sheet: schemaless interface data, formulas, and stable row identity.
 //!
 //! Paper §3 (Interface Manager / Interface Storage): the sheet holds the
-//! *interface data* — cells addressed by position, no schema — in a pluggable
-//! [`CellStore`], and maintains a positional mapping from display rows to
+//! *interface data* — cells addressed by position, no schema — in a
+//! [`TiledGrid`], and maintains a positional mapping from display rows to
 //! stable row keys so edits with "locational context" can be translated into
 //! keyed operations (and back).
 //!
@@ -20,33 +20,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dataspread_formula::{CellProvider, Formula, GridOp};
-use dataspread_gridstore::block::BlockConfig;
-use dataspread_gridstore::{BlockGrid, CellStore, NaiveGrid, TileConfig, TiledGrid};
+use dataspread_gridstore::{CellStore, TiledGrid};
 use dataspread_posindex::{RowKey, RowMapping};
 use dataspread_relstore::wal::{GridEditKind, SheetCellContent, WalOp, WalWriter};
 use dataspread_types::{CellAddr, CellError, DsError, DsResult, Range, SheetRef, Value};
-
-/// Which interface-storage layout backs a sheet (experiment `C5` arms).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum StoreKind {
-    /// Fixed-extent tiles — the production default.
-    #[default]
-    Tiled,
-    /// Proximity blocks indexed by an R-tree (paper-faithful).
-    Block,
-    /// One hash entry per cell (baseline).
-    Naive,
-}
-
-impl StoreKind {
-    fn build(self) -> Box<dyn CellStore<Value> + Send + Sync> {
-        match self {
-            StoreKind::Tiled => Box::new(TiledGrid::new(TileConfig::default())),
-            StoreKind::Block => Box::new(BlockGrid::new(BlockConfig::default())),
-            StoreKind::Naive => Box::new(NaiveGrid::new()),
-        }
-    }
-}
 
 /// A formula cell: the original source text plus its parsed form. `ast` is
 /// `None` when the source did not parse — the cell then displays `#NAME?`
@@ -80,8 +57,7 @@ impl PendingEdits {
 /// One sheet of a workbook.
 pub struct Sheet {
     name: String,
-    kind: StoreKind,
-    cells: Box<dyn CellStore<Value> + Send + Sync>,
+    cells: TiledGrid<Value>,
     /// Formula cells, keyed by position (row-major order for deterministic
     /// snapshots). The cell store holds their cached values.
     formulas: BTreeMap<CellAddr, CellFormula>,
@@ -103,7 +79,6 @@ impl std::fmt::Debug for Sheet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sheet")
             .field("name", &self.name)
-            .field("kind", &self.kind)
             .field("cells", &self.cells.cell_count())
             .field("formulas", &self.formulas.len())
             .field("rows", &self.rows.row_count())
@@ -127,11 +102,10 @@ impl CellProvider for LocalCells<'_> {
 }
 
 impl Sheet {
-    pub fn new(name: impl Into<String>, kind: StoreKind) -> Self {
+    pub fn new(name: impl Into<String>) -> Self {
         Sheet {
             name: name.into(),
-            kind,
-            cells: kind.build(),
+            cells: TiledGrid::default(),
             formulas: BTreeMap::new(),
             rows: RowMapping::new(),
             next_row_key: 1,
@@ -157,13 +131,9 @@ impl Sheet {
         &self.name
     }
 
-    pub fn store_kind(&self) -> StoreKind {
-        self.kind
-    }
-
     /// Direct access to the backing store (stats, block counts).
-    pub fn store(&self) -> &dyn CellStore<Value> {
-        self.cells.as_ref()
+    pub fn store(&self) -> &TiledGrid<Value> {
+        &self.cells
     }
 
     // ---- durability ------------------------------------------------------
@@ -316,39 +286,17 @@ impl Sheet {
     /// one fsync instead of one per cell, and replay applies the region
     /// atomically.
     pub fn set_region(&mut self, at: CellAddr, rows: &[Vec<Value>]) -> DsResult<()> {
-        let wal = self.wal.clone();
-        let in_txn = match &wal {
-            Some(w) => {
-                w.begin()?;
-                true
-            }
-            None => false,
-        };
-        let result = (|| -> DsResult<()> {
+        self.in_wal_txn(|s| {
             for (dr, row) in rows.iter().enumerate() {
                 for (dc, v) in row.iter().enumerate() {
-                    self.set_value(
+                    s.set_value(
                         CellAddr::new(at.row + dr as u32, at.col + dc as u32),
                         v.clone(),
                     )?;
                 }
             }
             Ok(())
-        })();
-        if in_txn {
-            let w = wal.as_ref().expect("wal present when in_txn");
-            match &result {
-                Ok(()) => w.commit()?,
-                // Mirror `Workbook::execute`'s convention: the cells that
-                // did apply are already logged — commit them so recovery
-                // rebuilds exactly what memory saw. The original error
-                // outranks a commit I/O error.
-                Err(_) => {
-                    let _ = w.commit();
-                }
-            }
-        }
-        result
+        })
     }
 
     /// Write a list of literal cells as **one** WAL transaction (one fsync),
@@ -356,33 +304,26 @@ impl Sheet {
     /// workbook batches the unbound remainder of a partially-bound region
     /// write through this.
     pub fn set_cells(&mut self, writes: &[(CellAddr, Value)]) -> DsResult<()> {
-        let wal = self.wal.clone();
-        let in_txn = match &wal {
-            Some(w) => {
-                w.begin()?;
-                true
-            }
-            None => false,
-        };
-        let result = (|| -> DsResult<()> {
+        self.in_wal_txn(|s| {
             for (addr, v) in writes {
-                self.set_value(*addr, v.clone())?;
+                s.set_value(*addr, v.clone())?;
             }
             Ok(())
-        })();
-        if in_txn {
-            let w = wal.as_ref().expect("wal present when in_txn");
-            match &result {
-                Ok(()) => w.commit()?,
-                // Same convention as `set_region`: applied cells are
-                // already logged — commit them so recovery rebuilds what
-                // memory saw; the original error outranks commit I/O.
-                Err(_) => {
-                    let _ = w.commit();
-                }
-            }
-        }
-        result
+        })
+    }
+
+    /// Run `edits` inside one WAL transaction when the sheet is durable.
+    /// On failure this mirrors `Workbook::execute`'s convention: the cells
+    /// that did apply are already logged, so commit them and recovery
+    /// rebuilds exactly what memory saw. The original error outranks a
+    /// commit I/O error.
+    fn in_wal_txn(&mut self, edits: impl FnOnce(&mut Self) -> DsResult<()>) -> DsResult<()> {
+        let Some(wal) = self.wal.clone() else {
+            return edits(self);
+        };
+        wal.begin()?;
+        let applied = edits(self);
+        applied.and(wal.commit())
     }
 
     /// Dense row-major matrix of a region (empty cells as `Empty`).
@@ -555,17 +496,15 @@ impl Sheet {
 
     // ---- persistence (checkpoint format; see docs/STORAGE.md) -------------
 
-    /// Serialize the sheet into the workbook snapshot stream: name, store
-    /// kind, the stable row keys in display order, every non-empty cell
-    /// (formula cells store their cached value), and every formula source.
+    /// Serialize the sheet into the workbook snapshot stream: name, a
+    /// reserved byte, the stable row keys in display order, every non-empty
+    /// cell (formula cells store their cached value), and every formula
+    /// source.
     pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
         use dataspread_relstore::codec::{encode_value, put_str, put_u32, put_u64};
         put_str(buf, &self.name);
-        buf.push(match self.kind {
-            StoreKind::Tiled => 0,
-            StoreKind::Block => 1,
-            StoreKind::Naive => 2,
-        });
+        // Reserved (was the sheet's store kind): written as zero.
+        buf.push(0);
         put_u64(buf, self.next_row_key);
         let keys = self.rows.keys();
         put_u64(buf, keys.len() as u64);
@@ -604,23 +543,15 @@ impl Sheet {
         with_formulas: bool,
     ) -> DsResult<Sheet> {
         let name = cur.str()?;
-        let kind = match cur.u8()? {
-            0 => StoreKind::Tiled,
-            1 => StoreKind::Block,
-            2 => StoreKind::Naive,
-            other => {
-                return Err(DsError::Storage(format!(
-                    "snapshot: bad store kind {other}"
-                )))
-            }
-        };
+        // Reserved (was the sheet's store kind): ignored.
+        cur.u8()?;
         let next_row_key = cur.u64()?;
         let nkeys = cur.u64()? as usize;
         let mut keys = Vec::with_capacity(nkeys.min(cur.remaining()));
         for _ in 0..nkeys {
             keys.push(cur.u64()?);
         }
-        let mut sheet = Sheet::new(name, kind);
+        let mut sheet = Sheet::new(name);
         sheet.rows = RowMapping::from_keys(keys)?;
         sheet.next_row_key = next_row_key;
         let ncells = cur.u64()? as usize;
@@ -656,19 +587,17 @@ mod tests {
 
     #[test]
     fn cell_round_trip_all_stores() {
-        for kind in [StoreKind::Tiled, StoreKind::Block, StoreKind::Naive] {
-            let mut s = Sheet::new("S", kind);
-            assert_eq!(s.value(a("B2")), Value::Empty);
-            s.set_input(a("B2"), "42").unwrap();
-            assert_eq!(s.value(a("B2")), Value::Int(42));
-            s.set_value(a("B2"), Value::Empty).unwrap();
-            assert_eq!(s.cell_count(), 0, "{kind:?} clears on Empty write");
-        }
+        let mut s = Sheet::new("S");
+        assert_eq!(s.value(a("B2")), Value::Empty);
+        s.set_input(a("B2"), "42").unwrap();
+        assert_eq!(s.value(a("B2")), Value::Int(42));
+        s.set_value(a("B2"), Value::Empty).unwrap();
+        assert_eq!(s.cell_count(), 0, "clears on Empty write");
     }
 
     #[test]
     fn formula_input_is_not_text() {
-        let mut s = Sheet::new("S", StoreKind::Tiled);
+        let mut s = Sheet::new("S");
         s.set_input(a("A1"), "2").unwrap();
         s.set_input(a("A2"), "3").unwrap();
         let v = s.set_input(a("A3"), "=A1+A2").unwrap();
@@ -687,7 +616,7 @@ mod tests {
 
     #[test]
     fn lone_sheet_resolves_own_name_only() {
-        let mut s = Sheet::new("Data", StoreKind::Tiled);
+        let mut s = Sheet::new("Data");
         s.set_input(a("A1"), "4").unwrap();
         assert_eq!(s.set_input(a("B1"), "=Data!A1*2").unwrap(), Value::Int(8));
         assert_eq!(
@@ -698,7 +627,7 @@ mod tests {
 
     #[test]
     fn region_round_trip() {
-        let mut s = Sheet::new("S", StoreKind::Tiled);
+        let mut s = Sheet::new("S");
         s.set_region(
             a("B2"),
             &[
@@ -714,7 +643,7 @@ mod tests {
 
     #[test]
     fn row_keys_survive_structural_edits() {
-        let mut s = Sheet::new("S", StoreKind::Tiled);
+        let mut s = Sheet::new("S");
         s.set_input(a("A1"), "top").unwrap();
         s.set_input(a("A5"), "bottom").unwrap();
         let k1 = s.row_key(0);
@@ -730,7 +659,7 @@ mod tests {
 
     #[test]
     fn formulas_shift_with_structural_edits() {
-        let mut s = Sheet::new("S", StoreKind::Tiled);
+        let mut s = Sheet::new("S");
         s.set_input(a("A1"), "10").unwrap();
         s.set_input(a("B5"), "=A1*2").unwrap();
         s.insert_rows(2, 3).unwrap();
@@ -747,33 +676,30 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trip() {
-        for kind in [StoreKind::Tiled, StoreKind::Block, StoreKind::Naive] {
-            let mut s = Sheet::new("Grid", kind);
-            s.set_input(a("A1"), "hello").unwrap();
-            s.set_input(a("C7"), "3.5").unwrap();
-            s.set_input(a("B2"), "#REF!").unwrap();
-            s.set_input(a("D1"), "=C7+1").unwrap();
-            let k0 = s.row_key(0);
-            s.insert_rows(1, 2).unwrap();
-            let mut buf = Vec::new();
-            s.encode(&mut buf);
-            let mut cur = dataspread_relstore::codec::Cursor::new(&buf);
-            let back = Sheet::decode(&mut cur, true).unwrap();
-            assert!(cur.is_empty());
-            assert_eq!(back.name(), "Grid");
-            assert_eq!(back.store_kind(), kind);
-            // insert_rows(1, 2) shifted C7→C9 and B2→B4; A1/D1 stayed put.
-            assert_eq!(back.value(a("A1")), Value::text("hello"));
-            assert_eq!(back.value(a("C9")), Value::Float(3.5));
-            assert!(back.value(a("B4")).is_error());
-            assert_eq!(back.value(a("C7")), Value::Empty);
-            // The formula survived with its shifted reference and cached value.
-            assert_eq!(back.formula_text(a("D1")), Some("=(C9+1)"));
-            assert_eq!(back.value(a("D1")), Value::Float(4.5));
-            assert_eq!(back.cell_count(), s.cell_count());
-            assert_eq!(back.row_of_key(k0), s.row_of_key(k0));
-            assert_eq!(back.registered_rows(), s.registered_rows());
-        }
+        let mut s = Sheet::new("Grid");
+        s.set_input(a("A1"), "hello").unwrap();
+        s.set_input(a("C7"), "3.5").unwrap();
+        s.set_input(a("B2"), "#REF!").unwrap();
+        s.set_input(a("D1"), "=C7+1").unwrap();
+        let k0 = s.row_key(0);
+        s.insert_rows(1, 2).unwrap();
+        let mut buf = Vec::new();
+        s.encode(&mut buf);
+        let mut cur = dataspread_relstore::codec::Cursor::new(&buf);
+        let back = Sheet::decode(&mut cur, true).unwrap();
+        assert!(cur.is_empty());
+        assert_eq!(back.name(), "Grid");
+        // insert_rows(1, 2) shifted C7→C9 and B2→B4; A1/D1 stayed put.
+        assert_eq!(back.value(a("A1")), Value::text("hello"));
+        assert_eq!(back.value(a("C9")), Value::Float(3.5));
+        assert!(back.value(a("B4")).is_error());
+        assert_eq!(back.value(a("C7")), Value::Empty);
+        // The formula survived with its shifted reference and cached value.
+        assert_eq!(back.formula_text(a("D1")), Some("=(C9+1)"));
+        assert_eq!(back.value(a("D1")), Value::Float(4.5));
+        assert_eq!(back.cell_count(), s.cell_count());
+        assert_eq!(back.row_of_key(k0), s.row_of_key(k0));
+        assert_eq!(back.registered_rows(), s.registered_rows());
     }
 
     #[test]
@@ -781,7 +707,7 @@ mod tests {
         use dataspread_relstore::codec::{put_str, put_u64};
         let mut buf = Vec::new();
         put_str(&mut buf, "S");
-        buf.push(0); // tiled
+        buf.push(0); // reserved
         put_u64(&mut buf, 1); // next row key
         put_u64(&mut buf, u64::MAX); // row key count
         let mut cur = dataspread_relstore::codec::Cursor::new(&buf);
@@ -791,7 +717,7 @@ mod tests {
 
     #[test]
     fn window_keys_are_stable_and_distinct() {
-        let mut s = Sheet::new("S", StoreKind::Block);
+        let mut s = Sheet::new("S");
         let w1 = s.row_keys_in_window(10, 5);
         let w2 = s.row_keys_in_window(10, 5);
         assert_eq!(w1, w2);

@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
+use dataspread_gridstore::CellStore;
 use dataspread_relstore::{Catalog, ColumnDef, RowKey, Schema, StoreHandle};
 use dataspread_sql::ast::Statement;
 use dataspread_sql::parser::{parse_statement, parse_statements};
@@ -21,7 +22,7 @@ use crate::calc::CalcStats;
 use crate::engine::{self, QueryResult};
 use crate::exec::ExecOptions;
 use crate::metrics::WbObs;
-use crate::sheet::{Sheet, StoreKind};
+use crate::sheet::Sheet;
 
 /// Handle to a sheet inside a workbook.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -60,7 +61,6 @@ pub struct Workbook {
     pub(crate) by_name: HashMap<String, usize>,
     pub(crate) catalog: Catalog,
     pub(crate) current: usize,
-    pub(crate) default_store: StoreKind,
     pub(crate) exec_options: ExecOptions,
     /// Attached durable store, if any (see [`Workbook::save`]).
     pub(crate) store: Option<StoreHandle>,
@@ -81,19 +81,13 @@ impl Default for Workbook {
 }
 
 impl Workbook {
-    /// A workbook with one sheet (`Sheet1`) using the default tiled store.
+    /// A workbook with one empty sheet, `Sheet1`.
     pub fn new() -> Self {
-        Workbook::with_store(StoreKind::Tiled)
-    }
-
-    /// A workbook whose sheets use the given interface-storage layout.
-    pub fn with_store(kind: StoreKind) -> Self {
         let mut wb = Workbook {
             sheets: Vec::new(),
             by_name: HashMap::new(),
             catalog: Catalog::new(),
             current: 0,
-            default_store: kind,
             exec_options: ExecOptions::default(),
             store: None,
             obs: WbObs::default(),
@@ -139,7 +133,7 @@ impl Workbook {
         if self.by_name.contains_key(&key) {
             return Err(DsError::Interface(format!("sheet `{name}` already exists")));
         }
-        let mut sheet = Sheet::new(name, self.default_store);
+        let mut sheet = Sheet::new(name);
         sheet.share_clock(Arc::clone(&self.clock));
         self.sheets.push(sheet);
         let id = self.sheets.len() - 1;

@@ -5,10 +5,9 @@
 //!    the *live* grid (`sql` → engine → `relstore` + `gridstore`),
 //! 3. a tuple is positionally inserted mid-window (O(log n) through the
 //!    counted B-tree, `posindex`),
-//! 4. the windowed fetch reflects the insert — under both the counted B-tree
-//!    and the dense rownum baseline (the paper's C3 arms).
+//! 4. the windowed fetch reflects the insert.
 
-use dataspread::{QueryResult, StoreKind, TableView, Workbook};
+use dataspread::{QueryResult, Workbook};
 use dataspread_types::{CellAddr, Range, Value};
 
 fn a(s: &str) -> CellAddr {
@@ -20,8 +19,8 @@ fn r(s: &str) -> Range {
 }
 
 /// Lay out a small grade book on the sheet and import it.
-fn build_workbook(kind: StoreKind) -> Workbook {
-    let mut wb = Workbook::with_store(kind);
+fn build_workbook() -> Workbook {
+    let mut wb = Workbook::new();
     let s = wb.current_sheet();
     let mut region: Vec<Vec<Value>> = vec![vec![
         Value::text("id"),
@@ -43,7 +42,7 @@ fn build_workbook(kind: StoreKind) -> Workbook {
 
 #[test]
 fn import_sql_positional_insert_window_vertical_path() {
-    let mut wb = build_workbook(StoreKind::Tiled);
+    let mut wb = build_workbook();
     let s = wb.current_sheet();
 
     // -- 2. SQL over the imported table, parameterized by a live cell. ------
@@ -104,95 +103,41 @@ fn import_sql_positional_insert_window_vertical_path() {
     assert_eq!(tail[0].1[0], Value::Int(49));
 }
 
-/// The same positional operations behave identically over the counted B-tree
-/// and the dense rownum baseline (experiment C3's correctness precondition).
-#[test]
-fn window_after_positional_insert_matches_under_both_indexes() {
-    let mut wb_counted = build_workbook(StoreKind::Tiled);
-    let mut wb_dense = build_workbook(StoreKind::Block);
-
-    let mut counted = TableView::counted(&wb_counted.catalog().get("students").unwrap()).unwrap();
-    let mut dense = TableView::dense(&wb_dense.catalog().get("students").unwrap()).unwrap();
-
-    let wedge = vec![Value::Int(900), Value::text("wedge"), Value::Int(0)];
-    counted
-        .insert_row_at(
-            &mut wb_counted.catalog_mut().get_mut("students").unwrap(),
-            25,
-            wedge.clone(),
-        )
-        .unwrap();
-    dense
-        .insert_row_at(
-            &mut wb_dense.catalog_mut().get_mut("students").unwrap(),
-            25,
-            wedge,
-        )
-        .unwrap();
-
-    for (pos, count) in [(0, 5), (23, 6), (48, 10)] {
-        let w1 = counted
-            .window(&wb_counted.catalog().get("students").unwrap(), pos, count)
-            .unwrap();
-        let w2 = dense
-            .window(&wb_dense.catalog().get("students").unwrap(), pos, count)
-            .unwrap();
-        let v1: Vec<&Vec<Value>> = w1.iter().map(|(_, row)| row).collect();
-        let v2: Vec<&Vec<Value>> = w2.iter().map(|(_, row)| row).collect();
-        assert_eq!(
-            v1, v2,
-            "window ({pos}, {count}) diverged between index arms"
-        );
-    }
-    assert_eq!(
-        counted
-            .window(&wb_counted.catalog().get("students").unwrap(), 25, 1)
-            .unwrap()[0]
-            .1[0],
-        Value::Int(900)
-    );
-    assert_eq!(counted.position_of(dense.key_at(25).unwrap()), Some(25));
-}
-
-/// RANGETABLE turns a live region into a relation and joins it with a table,
-/// under every interface-storage layout.
+/// RANGETABLE turns a live region into a relation and joins it with a table.
 #[test]
 fn rangetable_join_under_every_store() {
-    for kind in [StoreKind::Tiled, StoreKind::Block, StoreKind::Naive] {
-        let mut wb = build_workbook(kind);
-        let s = wb.current_sheet();
-        // A bonus sheet region keyed by student id.
-        wb.set_region(
-            s,
-            a("E1"),
-            &[
-                vec![Value::text("id"), Value::text("bonus")],
-                vec![Value::Int(3), Value::Int(5)],
-                vec![Value::Int(7), Value::Int(9)],
-            ],
+    let mut wb = build_workbook();
+    let s = wb.current_sheet();
+    // A bonus sheet region keyed by student id.
+    wb.set_region(
+        s,
+        a("E1"),
+        &[
+            vec![Value::text("id"), Value::text("bonus")],
+            vec![Value::Int(3), Value::Int(5)],
+            vec![Value::Int(7), Value::Int(9)],
+        ],
+    )
+    .unwrap();
+    let (_, rows) = wb
+        .query(
+            "SELECT name, score + bonus FROM students NATURAL JOIN RANGETABLE(E1:F3)
+             ORDER BY id",
         )
         .unwrap();
-        let (_, rows) = wb
-            .query(
-                "SELECT name, score + bonus FROM students NATURAL JOIN RANGETABLE(E1:F3)
-                 ORDER BY id",
-            )
-            .unwrap();
-        assert_eq!(
-            rows,
-            vec![
-                vec![Value::text("student03"), Value::Int(58)],
-                vec![Value::text("student07"), Value::Int(66)],
-            ],
-            "store {kind:?}"
-        );
-    }
+    assert_eq!(
+        rows,
+        vec![
+            vec![Value::text("student03"), Value::Int(58)],
+            vec![Value::text("student07"), Value::Int(66)],
+        ]
+    );
 }
 
 /// Round trip: import → SQL UPDATE → export back to a sheet.
 #[test]
 fn import_update_export_round_trip() {
-    let mut wb = build_workbook(StoreKind::Tiled);
+    let mut wb = build_workbook();
     wb.execute("UPDATE students SET score = score * 2 WHERE id < 2")
         .unwrap();
     let out = wb.add_sheet("Report").unwrap();

@@ -3,6 +3,7 @@
 //! nested-loop × pushdown on/off) and must produce *identical* row
 //! sequences — the hash operators emit in nested-loop order by design.
 
+use dataspread::gridstore::CellStore;
 use dataspread::{ExecOptions, Workbook};
 use dataspread_testkit::{cases, Rng};
 use dataspread_types::Value;

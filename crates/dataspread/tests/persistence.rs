@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 
-use dataspread::{StoreKind, Workbook};
+use dataspread::Workbook;
 use dataspread_relstore::snapshot::{DATA_FILE, WAL_FILE};
 use dataspread_types::{CellAddr, Range, Value};
 
@@ -137,7 +137,7 @@ fn ddl_checkpoints_automatically() {
 #[test]
 fn import_region_is_durable() {
     let dir = tmp_dir("import");
-    let mut wb = Workbook::with_store(StoreKind::Block);
+    let mut wb = Workbook::new();
     let s = wb.current_sheet();
     wb.set_region(
         s,
@@ -160,9 +160,6 @@ fn import_region_is_durable() {
         rows,
         vec![vec![Value::text("one")], vec![Value::text("two")]]
     );
-    // Store kind survived the round trip.
-    let s = wb.current_sheet();
-    assert_eq!(wb.sheet(s).store_kind(), StoreKind::Block);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

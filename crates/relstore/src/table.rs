@@ -632,11 +632,6 @@ impl Table {
         self.order.position_of(key)
     }
 
-    /// Keys of the rows in the window `[pos, pos+count)`.
-    pub fn keys_in_window(&self, pos: usize, count: usize) -> Vec<RowKey> {
-        self.order.range(pos, count)
-    }
-
     /// Windowed scan: the rows displayed at `[pos, pos+count)` — the query
     /// the front-end issues as the user pans.
     pub fn scan_window(&self, pos: usize, count: usize) -> DsResult<Vec<(RowKey, Vec<Value>)>> {
@@ -1145,11 +1140,6 @@ impl TableSnapshot {
     /// Display position of a row in this snapshot.
     pub fn position_of(&self, key: RowKey) -> Option<usize> {
         self.order.position_of(key)
-    }
-
-    /// Keys of the rows in the window `[pos, pos+count)`.
-    pub fn keys_in_window(&self, pos: usize, count: usize) -> Vec<RowKey> {
-        self.order.range(pos, count)
     }
 
     fn read_fragment(&self, g: usize, key: RowKey) -> DsResult<Vec<Value>> {

@@ -162,18 +162,6 @@ pub fn bench(name: &str, target: Duration, mut f: impl FnMut()) -> Measurement {
     m
 }
 
-/// Emit one machine-readable result line for a measurement:
-/// `BENCH_JSON {"bench":…,"rows":…,"ns_per_iter":…,"iters":…}`.
-/// The `BENCH_JSON ` prefix lets tooling grep the JSON out of the human
-/// report (`cargo bench … | grep ^BENCH_JSON | cut -d' ' -f2-`).
-pub fn report_json(name: &str, rows: usize, m: &Measurement) {
-    println!(
-        "BENCH_JSON {{\"bench\":\"{name}\",\"rows\":{rows},\"ns_per_iter\":{:.1},\"iters\":{}}}",
-        m.per_iter_ns(),
-        m.iters
-    );
-}
-
 /// Prevent the optimizer from deleting a benchmarked computation.
 pub fn black_box<T>(x: T) -> T {
     bb(x)
