@@ -99,7 +99,6 @@ impl ReadSession<'_> {
         let ctx = ExecCtx {
             catalog: self.wb.catalog(),
             resolver: &resolver,
-            options: self.wb.exec_options(),
             metrics: self.wb.obs.exec.clone(),
         };
         run_select(&ctx, &sel)

@@ -13,7 +13,7 @@ use dataspread_sql::resolver::SheetResolver;
 use dataspread_types::{DsError, DsResult, Value};
 
 use crate::exec::{
-    analyze_select, eval_standalone, explain_select, run_select, ExecCtx, ExecMetrics, ExecOptions,
+    analyze_select, eval_standalone, explain_select, run_select, ExecCtx, ExecMetrics,
 };
 
 /// Outcome of one executed statement.
@@ -53,48 +53,11 @@ pub(crate) fn execute(
     catalog: &mut Catalog,
     resolver: &dyn SheetResolver,
     stmt: Statement,
-    options: ExecOptions,
     metrics: &ExecMetrics,
 ) -> DsResult<QueryResult> {
     match stmt {
-        Statement::Select(sel) => {
-            let ctx = ExecCtx {
-                catalog,
-                resolver,
-                options,
-                metrics: metrics.clone(),
-            };
-            let (columns, rows) = run_select(&ctx, &sel)?;
-            Ok(QueryResult::Rows { columns, rows })
-        }
-        Statement::Explain(sel) => {
-            let ctx = ExecCtx {
-                catalog,
-                resolver,
-                options,
-                metrics: metrics.clone(),
-            };
-            let rows = explain_select(&ctx, &sel)?
-                .into_iter()
-                .map(|line| vec![Value::Text(line)])
-                .collect();
-            Ok(QueryResult::Rows {
-                columns: vec!["plan".to_string()],
-                rows,
-            })
-        }
-        Statement::ExplainAnalyze(sel) => {
-            let ctx = ExecCtx {
-                catalog,
-                resolver,
-                options,
-                metrics: metrics.clone(),
-            };
-            let (lines, _) = analyze_select(&ctx, &sel)?;
-            Ok(QueryResult::Rows {
-                columns: vec!["plan".to_string()],
-                rows: lines.into_iter().map(|l| vec![Value::Text(l)]).collect(),
-            })
+        query @ (Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_)) => {
+            run_query(catalog, resolver, &query, metrics)
         }
         Statement::Analyze { table } => {
             match table {
@@ -114,7 +77,6 @@ pub(crate) fn execute(
         } => run_insert(
             catalog,
             resolver,
-            options,
             metrics,
             &table,
             columns.as_deref(),
@@ -193,12 +155,39 @@ pub(crate) fn execute(
     }
 }
 
+/// Run a `SELECT`, `EXPLAIN`, or `EXPLAIN ANALYZE` under one executor
+/// context. `EXPLAIN` forms return their plan lines as a one-column result.
+fn run_query(
+    catalog: &Catalog,
+    resolver: &dyn SheetResolver,
+    stmt: &Statement,
+    metrics: &ExecMetrics,
+) -> DsResult<QueryResult> {
+    let ctx = ExecCtx {
+        catalog,
+        resolver,
+        metrics: metrics.clone(),
+    };
+    let plan = match stmt {
+        Statement::Select(sel) => {
+            let (columns, rows) = run_select(&ctx, sel)?;
+            return Ok(QueryResult::Rows { columns, rows });
+        }
+        Statement::Explain(sel) => explain_select(&ctx, sel)?,
+        Statement::ExplainAnalyze(sel) => analyze_select(&ctx, sel)?.0,
+        _ => return Err(DsError::Sql("expected a SELECT or EXPLAIN".into())),
+    };
+    Ok(QueryResult::Rows {
+        columns: vec!["plan".to_string()],
+        rows: plan.into_iter().map(|l| vec![Value::Text(l)]).collect(),
+    })
+}
+
 // ---- DML -----------------------------------------------------------------
 
 fn run_insert(
     catalog: &mut Catalog,
     resolver: &dyn SheetResolver,
-    options: ExecOptions,
     metrics: &ExecMetrics,
     table: &str,
     columns: Option<&[String]>,
@@ -215,7 +204,6 @@ fn run_insert(
             let ctx = ExecCtx {
                 catalog,
                 resolver,
-                options,
                 metrics: metrics.clone(),
             };
             run_select(&ctx, sel)?.1

@@ -2,16 +2,14 @@
 //!
 //! Groups are located in O(1) via the normalized
 //! [`HKey`](dataspread_sql::planner::HKey) of the evaluated key tuple
-//! (mirroring `Value::sql_eq`, so NULL groups with NULL exactly as the
-//! previous linear search did). Each group keeps its first member row as the
-//! representative (what `GROUP BY` expressions evaluate against in the
-//! projection) plus one incremental accumulator per aggregate call — member
-//! rows are never materialized. `DISTINCT` aggregates dedup through an
-//! `HKey` set instead of the old O(n²) linear scan.
+//! (mirroring `Value::sql_eq`, so NULL groups with NULL). Each group keeps
+//! its first member row as the representative (what `GROUP BY` expressions
+//! evaluate against in the projection) plus one incremental accumulator per
+//! aggregate call — member rows are never materialized. `DISTINCT`
+//! aggregates dedup through an `HKey` set.
 //!
-//! The linear-search arm survives behind
-//! [`ExecOptions::hash_aggregation`](super::ExecOptions) as the reference
-//! implementation the property suite compares against.
+//! The linear-search reference this operator is checked against is the
+//! naive evaluator in the `dataspread_slt` crate, outside the engine.
 
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -23,11 +21,6 @@ use dataspread_sql::resolver::SheetResolver;
 use dataspread_types::{DsError, DsResult, Value};
 
 use super::RowStream;
-
-/// Componentwise SQL equality for group keys (NULL groups with NULL).
-pub(crate) fn vals_eq(a: &[Value], b: &[Value]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.sql_eq(y))
-}
 
 /// Gather distinct aggregate calls (structural identity) in encounter order.
 pub(crate) fn collect_aggregates(
@@ -166,14 +159,15 @@ impl AggSpec {
 
     /// Feed one member row into the accumulator.
     fn update(&self, acc: &mut Acc, row: &[Value]) -> DsResult<()> {
-        if let Acc::CountStar(n) = acc {
-            *n += 1;
-            return Ok(());
-        }
-        let arg = self
-            .arg
-            .as_ref()
-            .expect("non-star aggregate has an argument");
+        let (arg, acc) = match (&self.arg, acc) {
+            (_, Acc::CountStar(n)) => {
+                *n += 1;
+                return Ok(());
+            }
+            (Some(arg), acc) => (arg, acc),
+            // `compile` gives every non-star spec an argument.
+            (None, _) => return Err(DsError::Sql(format!("{} takes an argument", self.name))),
+        };
         let v = eval(arg, row, &[])?;
         // SQL semantics: NULL inputs are ignored by every aggregate.
         if v.is_empty() {
@@ -356,34 +350,19 @@ pub(crate) fn aggregate(
     key_exprs: &[BExpr],
     specs: &[AggSpec],
     width: usize,
-    hash: bool,
 ) -> DsResult<Vec<(Vec<Value>, Vec<Value>)>> {
     let mut groups: Vec<Group> = Vec::new();
     let mut index: HashMap<Vec<HKey>, usize> = HashMap::new();
-    let mut linear_keys: Vec<Vec<Value>> = Vec::new();
     for row in stream {
         let row = row?;
         let kv: Vec<Value> = key_exprs
             .iter()
             .map(|e| eval(e, &row, &[]))
             .collect::<DsResult<_>>()?;
-        let slot = if hash {
-            match index.entry(HKey::of_row(&kv)) {
-                std::collections::hash_map::Entry::Occupied(e) => Some(*e.get()),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(groups.len());
-                    None
-                }
-            }
-        } else {
-            linear_keys.iter().position(|k| vals_eq(k, &kv))
-        };
-        let gi = match slot {
-            Some(gi) => gi,
-            None => {
-                if !hash {
-                    linear_keys.push(kv);
-                }
+        let gi = match index.entry(HKey::of_row(&kv)) {
+            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
+            std::collections::hash_map::Entry::Vacant(v) => {
+                v.insert(groups.len());
                 groups.push(Group {
                     rep: row.clone(),
                     accs: specs

@@ -1,17 +1,20 @@
 //! Join operators: build/probe hash join and the nested-loop fallback.
 //!
 //! Both stream the **left** input and materialize the right (the build
-//! side), and both emit matches for a given left row in right-scan order —
-//! so hash and nested-loop runs of the same query produce *identical* row
-//! sequences, which the equivalence property suite checks directly.
+//! side), and both emit matches for a given left row in right-scan order.
+//! The planner picks the hash join whenever the constraint yields an
+//! equi-key, and nested loops only where it yields none.
 //!
 //! Hash matching is two-staged: the normalized
 //! [`join_key`](dataspread_sql::planner::join_key) buckets candidates (any
 //! `sql_compare`-equal pair is guaranteed to share a bucket), then every
 //! candidate is re-verified with `sql_compare`, which also gives NULL keys
-//! their never-match semantics. One caveat against the nested-loop arm:
-//! comparing *incomparable* types (`ON a.text_col = b.int_col`) is a type
-//! error under nested loops, while hash buckets simply never pair them.
+//! their never-match semantics. So a comparison of *incomparable* types
+//! behaves by its form: the equi form `ON t.txt = u.num` never pairs a text
+//! key with a number and simply matches nothing, while a non-equi form of
+//! the same comparison, `ON NOT (t.txt <> u.num)`, runs under nested loops
+//! and fails with `cannot compare`. `crates/slt/tests/golden/errors.test`
+//! pins both records.
 
 use std::collections::HashMap;
 use std::rc::Rc;

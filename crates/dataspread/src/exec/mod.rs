@@ -23,15 +23,17 @@
 //!   (left-join outer semantics respected).
 //! * **Hash joins** (`join.rs`) — equi-join keys extracted from `ON` /
 //!   `NATURAL` constraints drive a build/probe hash join with `sql_compare`
-//!   verification; non-equi predicates fall back to nested loops. Output
-//!   order is identical to the nested-loop order, which the equivalence
-//!   property suite exploits.
+//!   verification; nested loops run only where a join has no equi-key.
+//! * **Cost-based join order** (`cost.rs`) — inner equi-join chains are
+//!   reordered by estimated cardinality, smaller inputs building.
 //! * **Hash aggregation** (`aggregate.rs`) and **hash DISTINCT**
 //!   (`output.rs`) — group lookup and dedup are O(1) per row via the
 //!   normalized [`dataspread_sql::planner::HKey`].
 //!
-//! Every operator choice is switchable through [`ExecOptions`] so benches
-//! and property tests can run both arms against identical inputs.
+//! There is one execution path; the planner picks each operator from the
+//! query. The reference semantics the pipeline is checked against live
+//! outside the engine, in the naive evaluator of the `dataspread_slt`
+//! crate.
 
 pub(crate) mod aggregate;
 pub(crate) mod cost;
@@ -57,35 +59,6 @@ use aggregate::{collect_aggregates, AggSpec};
 use planner::{NodeMeter, Plan, Used};
 use scan::FilterIter;
 
-/// Executor strategy switches. All default to on; benches and the
-/// equivalence property suites flip individual arms off to compare the
-/// optimized operators against their reference implementations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Build/probe hash joins for equi-join constraints (off: nested loops
-    /// everywhere).
-    pub hash_join: bool,
-    /// Hash-table GROUP BY (off: linear group search).
-    pub hash_aggregation: bool,
-    /// Push single-table WHERE/ON conjuncts below joins into the scans.
-    pub predicate_pushdown: bool,
-    /// Reorder inner equi-join chains by estimated cardinality (NDV/row
-    /// statistics) and pick the smaller input as the hash build side (off:
-    /// joins run in syntactic order).
-    pub cost_based: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            hash_join: true,
-            hash_aggregation: true,
-            predicate_pushdown: true,
-            cost_based: true,
-        }
-    }
-}
-
 /// Per-operator executor counters. Handles are `Arc`-backed
 /// ([`dataspread_obs::Counter`]); a workbook clones its set into every
 /// [`ExecCtx`] it builds, so query work lands in the workbook's metrics
@@ -105,11 +78,10 @@ pub(crate) struct ExecMetrics {
 }
 
 /// Everything a query needs to run: the catalog, the live-sheet resolver,
-/// the strategy switches, and the counters that observe it.
+/// and the counters that observe it.
 pub(crate) struct ExecCtx<'a> {
     pub catalog: &'a Catalog,
     pub resolver: &'a dyn SheetResolver,
-    pub options: ExecOptions,
     pub metrics: ExecMetrics,
 }
 
@@ -123,16 +95,28 @@ pub(crate) fn eval_standalone(e: &Expr, resolver: &dyn SheetResolver) -> DsResul
     eval(&b, &[], &[])
 }
 
-/// Evaluate a LIMIT/OFFSET argument to a non-negative count.
-pub(crate) fn count_arg(e: &Expr, resolver: &dyn SheetResolver, what: &str) -> DsResult<usize> {
-    let v = eval_standalone(e, resolver)?;
-    let n = v
-        .coerce_i64()
-        .map_err(|_| DsError::Sql(format!("{what} must be an integer, got {v:?}")))?;
-    if n < 0 {
-        return Err(DsError::Sql(format!("{what} must be non-negative")));
-    }
-    Ok(n as usize)
+/// The `(OFFSET, LIMIT)` window of a `SELECT`, each argument evaluated to
+/// a non-negative count (OFFSET defaults to 0, no LIMIT is `None`).
+fn window(sel: &SelectStmt, resolver: &dyn SheetResolver) -> DsResult<(usize, Option<usize>)> {
+    let count = |e: &Expr, what: &str| -> DsResult<usize> {
+        let v = eval_standalone(e, resolver)?;
+        let n = v
+            .coerce_i64()
+            .map_err(|_| DsError::Sql(format!("{what} must be an integer, got {v:?}")))?;
+        if n < 0 {
+            return Err(DsError::Sql(format!("{what} must be non-negative")));
+        }
+        Ok(n as usize)
+    };
+    let offset = match &sel.offset {
+        Some(e) => count(e, "OFFSET")?,
+        None => 0,
+    };
+    let limit = match &sel.limit {
+        Some(e) => Some(count(e, "LIMIT")?),
+        None => None,
+    };
+    Ok((offset, limit))
 }
 
 /// Do all filter conjuncts hold (`truth == Some(true)`) for `row`?
@@ -178,7 +162,7 @@ pub(crate) fn prepare_select(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> DsResult<Pr
         for c in split_conjuncts(bound) {
             let mut refs = HashSet::new();
             collect_cols(&c, &mut refs);
-            if ctx.options.predicate_pushdown && !refs.is_empty() && !matches!(plan, Plan::Dual) {
+            if !refs.is_empty() && !matches!(plan, Plan::Dual) {
                 plan.absorb_filter(c);
             } else {
                 top_filters.push(c);
@@ -187,14 +171,10 @@ pub(crate) fn prepare_select(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> DsResult<Pr
     }
     // Equi conjuncts that landed in an inner join's post-filter (e.g.
     // `CROSS JOIN … WHERE l.v = r.w`) become hash keys.
-    if ctx.options.hash_join {
-        plan.upgrade_hash_joins();
-    }
+    plan.upgrade_hash_joins();
     // With keys in place, reorder inner join chains by estimated
     // cardinality: smallest intermediate first, smaller input building.
-    if ctx.options.hash_join && ctx.options.cost_based {
-        cost::optimize(&mut plan, cols.len());
-    }
+    cost::optimize(&mut plan, cols.len());
 
     // Aggregate discovery across projection, HAVING, and ORDER BY.
     let mut agg_exprs: Vec<Expr> = Vec::new();
@@ -282,16 +262,19 @@ pub(crate) fn run_select(
     sel: &SelectStmt,
 ) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
     let prepared = prepare_select(ctx, sel)?;
-    execute_prepared(ctx, sel, prepared, None)
+    let window = window(sel, ctx.resolver)?;
+    execute_prepared(ctx, sel, prepared, window, None)
 }
 
-/// Execute an already-prepared `SELECT`. With `meters`, every plan node's
-/// stream is wrapped to record actual rows, loops, and wall time (the
-/// `EXPLAIN ANALYZE` path); without, the pipeline runs unwrapped.
+/// Execute an already-prepared `SELECT` over its `(OFFSET, LIMIT)` window.
+/// With `meters`, every plan node's stream is wrapped to record actual
+/// rows, loops, and wall time (the `EXPLAIN ANALYZE` path); without, the
+/// pipeline runs unwrapped.
 fn execute_prepared(
     ctx: &ExecCtx<'_>,
     sel: &SelectStmt,
     prepared: Prepared,
+    (offset, limit): (usize, Option<usize>),
     meters: Option<&mut Vec<Arc<NodeMeter>>>,
 ) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
     let Prepared {
@@ -313,29 +296,13 @@ fn execute_prepared(
         stream = Box::new(FilterIter::new(stream, top_filters));
     }
 
-    // LIMIT/OFFSET evaluate up front so simple queries can stop pulling
-    // rows as soon as the window is full.
-    let offset = match &sel.offset {
-        Some(e) => count_arg(e, ctx.resolver, "OFFSET")?,
-        None => 0,
-    };
-    let limit = match &sel.limit {
-        Some(e) => Some(count_arg(e, ctx.resolver, "LIMIT")?),
-        None => None,
-    };
-
     // Evaluation contexts: (representative row, aggregate slot values).
     let mut contexts: Vec<(Vec<Value>, Vec<Value>)> = if grouped {
-        aggregate::aggregate(
-            stream,
-            &key_exprs,
-            &specs,
-            width,
-            ctx.options.hash_aggregation,
-        )?
+        aggregate::aggregate(stream, &key_exprs, &specs, width)?
     } else {
-        // Streaming early exit: with no ordering, dedup, or grouping, only
-        // the first OFFSET+LIMIT rows can reach the output.
+        // Streaming early exit: the window is known up front, so with no
+        // ordering, dedup, or grouping only the first OFFSET+LIMIT rows can
+        // reach the output.
         let bound = match (limit, order.is_empty(), sel.distinct) {
             (Some(l), true, false) => offset.saturating_add(l),
             _ => usize::MAX,
@@ -372,14 +339,7 @@ fn execute_prepared(
 /// table still runs under `EXPLAIN`.
 pub(crate) fn explain_select(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> DsResult<Vec<String>> {
     let prepared = prepare_select(ctx, sel)?;
-    let offset = match &sel.offset {
-        Some(e) => count_arg(e, ctx.resolver, "OFFSET")?,
-        None => 0,
-    };
-    let limit = match &sel.limit {
-        Some(e) => Some(count_arg(e, ctx.resolver, "LIMIT")?),
-        None => None,
-    };
+    let (offset, limit) = window(sel, ctx.resolver)?;
     Ok(explain::render(&prepared, sel.distinct, offset, limit))
 }
 
@@ -393,21 +353,14 @@ pub(crate) fn analyze_select(
     sel: &SelectStmt,
 ) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
     let prepared = prepare_select(ctx, sel)?;
-    let offset = match &sel.offset {
-        Some(e) => count_arg(e, ctx.resolver, "OFFSET")?,
-        None => 0,
-    };
-    let limit = match &sel.limit {
-        Some(e) => Some(count_arg(e, ctx.resolver, "LIMIT")?),
-        None => None,
-    };
+    let (offset, limit) = window(sel, ctx.resolver)?;
     // Skeleton first: rendering borrows the plan, execution consumes it.
     // `render_with_marks` visits nodes in the same pre-order as
     // `planner::build` allocates meters, so marks[i] pairs with meters[i].
     let (mut lines, marks) = explain::render_with_marks(&prepared, sel.distinct, offset, limit);
     let mut meters: Vec<Arc<NodeMeter>> = Vec::new();
     let started = Instant::now();
-    let (_, rows) = execute_prepared(ctx, sel, prepared, Some(&mut meters))?;
+    let (_, rows) = execute_prepared(ctx, sel, prepared, (offset, limit), Some(&mut meters))?;
     let total_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     debug_assert_eq!(marks.len(), meters.len());
     for (mark, meter) in marks.iter().zip(&meters) {

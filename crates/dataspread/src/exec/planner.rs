@@ -206,22 +206,11 @@ fn plan_join(
             let strategy = if pairs.is_empty() {
                 // No shared columns: NATURAL degenerates to a cross join.
                 Strategy::NestedLoop { pred: Vec::new() }
-            } else if ctx.options.hash_join {
+            } else {
                 Strategy::Hash {
                     left_keys: pairs.iter().map(|&(li, _)| BExpr::Col(li)).collect(),
                     right_keys: pairs.iter().map(|&(_, ri)| BExpr::Col(ri)).collect(),
                     residual: Vec::new(),
-                }
-            } else {
-                Strategy::NestedLoop {
-                    pred: pairs
-                        .iter()
-                        .map(|&(li, ri)| BExpr::Binary {
-                            left: Box::new(BExpr::Col(li)),
-                            op: dataspread_sql::ast::BinOp::Eq,
-                            right: Box::new(BExpr::Col(lw + ri)),
-                        })
-                        .collect(),
                 }
             };
             (strategy, Some(emit), cols)
@@ -231,43 +220,38 @@ fn plan_join(
             concat.extend(rcols.iter().cloned());
             let bound = bind(e, &concat, None, ctx.resolver)?;
             let mut conjuncts = split_conjuncts(bound);
-            if ctx.options.predicate_pushdown {
-                // Single-side ON terms sink into their input. For LEFT
-                // JOIN, left-side terms must stay: they gate matching, not
-                // the preserved rows.
-                conjuncts.retain(|c| {
-                    let refs = cols_of(c);
-                    if refs.is_empty() {
-                        return true;
-                    }
-                    let all_left = refs.iter().all(|&i| i < lw);
-                    let all_right = refs.iter().all(|&i| i >= lw);
-                    if all_left && kind != JoinKind::Left {
-                        lp.absorb_filter(c.clone());
-                        false
-                    } else if all_right {
-                        rp.absorb_filter(remap_cols(c, &|i| i - lw));
-                        false
-                    } else {
-                        true
-                    }
-                });
-            }
-            let strategy = if ctx.options.hash_join {
-                let keys = extract_equi_keys(conjuncts, lw);
-                if keys.left.is_empty() {
-                    Strategy::NestedLoop {
-                        pred: keys.residual,
-                    }
+            // Single-side ON terms sink into their input. For LEFT JOIN,
+            // left-side terms must stay: they gate matching, not the
+            // preserved rows.
+            conjuncts.retain(|c| {
+                let refs = cols_of(c);
+                if refs.is_empty() {
+                    return true;
+                }
+                let all_left = refs.iter().all(|&i| i < lw);
+                let all_right = refs.iter().all(|&i| i >= lw);
+                if all_left && kind != JoinKind::Left {
+                    lp.absorb_filter(c.clone());
+                    false
+                } else if all_right {
+                    rp.absorb_filter(remap_cols(c, &|i| i - lw));
+                    false
                 } else {
-                    Strategy::Hash {
-                        left_keys: keys.left,
-                        right_keys: keys.right,
-                        residual: keys.residual,
-                    }
+                    true
+                }
+            });
+            // Equi conjuncts become hash keys; without one, nested loops.
+            let keys = extract_equi_keys(conjuncts, lw);
+            let strategy = if keys.left.is_empty() {
+                Strategy::NestedLoop {
+                    pred: keys.residual,
                 }
             } else {
-                Strategy::NestedLoop { pred: conjuncts }
+                Strategy::Hash {
+                    left_keys: keys.left,
+                    right_keys: keys.right,
+                    residual: keys.residual,
+                }
             };
             (strategy, None, concat)
         }
@@ -347,8 +331,7 @@ impl Plan {
             Plan::Join(j) => {
                 let refs = cols_of(&pred);
                 let sides: HashSet<Side> = refs.iter().map(|&i| j.child_of(i).0).collect();
-                if sides.len() == 1 {
-                    let side = *sides.iter().next().unwrap();
+                if let [side] = sides.into_iter().collect::<Vec<_>>()[..] {
                     // A WHERE term on the null-supplying side of a LEFT
                     // JOIN sees null-extended rows; it cannot sink.
                     let legal = side == Side::Left || j.kind != JoinKind::Left;
@@ -715,7 +698,6 @@ fn filtered(stream: RowStream<'_>, filters: Vec<BExpr>) -> RowStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ExecOptions;
     use dataspread_relstore::{Catalog, ColumnDef, Schema};
     use dataspread_sql::ast::Statement;
     use dataspread_sql::parser::parse_statement;
@@ -744,7 +726,6 @@ mod tests {
         let ctx = ExecCtx {
             catalog: &catalog,
             resolver: &NoSheet,
-            options: ExecOptions::default(),
             metrics: Default::default(),
         };
         let (mut plan, cols) = plan_from(&ctx, sel.from.as_ref().unwrap()).unwrap();

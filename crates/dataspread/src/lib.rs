@@ -84,7 +84,6 @@ pub use bind::{BindModel, BindingMeta};
 pub use calc::CalcStats;
 pub use concurrent::{ReadSession, SharedWorkbook, WorkbookSnapshot};
 pub use engine::QueryResult;
-pub use exec::ExecOptions;
 pub use sheet::Sheet;
 pub use workbook::{EngineHealth, SheetId, Workbook};
 

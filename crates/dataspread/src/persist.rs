@@ -41,7 +41,6 @@ use dataspread_relstore::{Catalog, MeteredVfs, PageFile, VfsMeter};
 use dataspread_types::{CellAddr, DsError, DsResult};
 
 use crate::bind::BindingRegistry;
-use crate::exec::ExecOptions;
 use crate::metrics::WbObs;
 use crate::sheet::Sheet;
 use crate::workbook::Workbook;
@@ -205,7 +204,6 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
         by_name,
         catalog,
         current,
-        exec_options: ExecOptions::default(),
         store: None,
         obs: WbObs::default(),
         clock,

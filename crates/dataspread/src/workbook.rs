@@ -20,7 +20,6 @@ use dataspread_types::{col_to_letters, CellAddr, DataType, DsError, DsResult, Ra
 use crate::bind::BindingRegistry;
 use crate::calc::CalcStats;
 use crate::engine::{self, QueryResult};
-use crate::exec::ExecOptions;
 use crate::metrics::WbObs;
 use crate::sheet::Sheet;
 
@@ -61,7 +60,6 @@ pub struct Workbook {
     pub(crate) by_name: HashMap<String, usize>,
     pub(crate) catalog: Catalog,
     pub(crate) current: usize,
-    pub(crate) exec_options: ExecOptions,
     /// Attached durable store, if any (see [`Workbook::save`]).
     pub(crate) store: Option<StoreHandle>,
     /// Metrics registry, span tracer, and every engine counter handle
@@ -88,7 +86,6 @@ impl Workbook {
             by_name: HashMap::new(),
             catalog: Catalog::new(),
             current: 0,
-            exec_options: ExecOptions::default(),
             store: None,
             obs: WbObs::default(),
             clock: Arc::new(AtomicU64::new(1)),
@@ -356,18 +353,6 @@ impl Workbook {
         &mut self.catalog
     }
 
-    /// The executor strategy switches queries run under.
-    pub fn exec_options(&self) -> ExecOptions {
-        self.exec_options
-    }
-
-    /// Switch executor strategies (hash join / hash aggregation / predicate
-    /// pushdown) — used by benches and the equivalence property suites to
-    /// compare arms over identical data.
-    pub fn set_exec_options(&mut self, options: ExecOptions) {
-        self.exec_options = options;
-    }
-
     // ---- SQL ------------------------------------------------------------
 
     /// Parse and execute one SQL statement against the workbook: tables come
@@ -437,13 +422,7 @@ impl Workbook {
             by_name: &self.by_name,
             current: self.current,
         };
-        let result = engine::execute(
-            &mut self.catalog,
-            &ctx,
-            stmt,
-            self.exec_options,
-            &self.obs.exec,
-        );
+        let result = engine::execute(&mut self.catalog, &ctx, stmt, &self.obs.exec);
         if in_txn {
             let store = self.store.as_ref().expect("store present when in_txn");
             match &result {

@@ -1,90 +1,17 @@
-//! Join semantics the hash paths must preserve, plus equivalence property
-//! suites: every query here runs under all four strategy arms (hash /
-//! nested-loop × pushdown on/off) and must produce *identical* row
-//! sequences — the hash operators emit in nested-loop order by design.
+//! Join semantics the hash paths must preserve: LEFT JOIN null-extension,
+//! NULL keys that never match, numeric Int/Float key equality, NATURAL JOIN
+//! name rules and `LEFT JOIN` pushdown limits — each pinned to fixed
+//! expected rows — plus `RANGETABLE` scan pruning. The random-input
+//! equivalence suites live with the naive evaluator, in
+//! `crates/slt/tests/differential.rs`.
 
 use dataspread::gridstore::CellStore;
-use dataspread::{ExecOptions, Workbook};
-use dataspread_testkit::{cases, Rng};
+use dataspread::Workbook;
 use dataspread_types::Value;
 
-/// The four strategy arms every query is cross-checked under. The all-off
-/// arm is the reference implementation (linear scans, nested loops).
-/// `cost_based` stays off here: these arms assert *identical row order*,
-/// which join reordering deliberately changes — the cost-based arm is
-/// checked separately as a multiset.
-const ARMS: [ExecOptions; 4] = [
-    ExecOptions {
-        hash_join: true,
-        hash_aggregation: true,
-        predicate_pushdown: true,
-        cost_based: false,
-    },
-    ExecOptions {
-        hash_join: false,
-        hash_aggregation: false,
-        predicate_pushdown: false,
-        cost_based: false,
-    },
-    ExecOptions {
-        hash_join: true,
-        hash_aggregation: false,
-        predicate_pushdown: false,
-        cost_based: false,
-    },
-    ExecOptions {
-        hash_join: false,
-        hash_aggregation: true,
-        predicate_pushdown: true,
-        cost_based: false,
-    },
-];
-
-/// Lexicographic row order under `Value::total_cmp` (ties broken by debug
-/// representation, so `Int(2)` and `Float(2.0)` sort deterministically),
-/// for multiset compares.
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort_by(|a, b| {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| {
-                x.total_cmp(y)
-                    .then_with(|| format!("{x:?}").cmp(&format!("{y:?}")))
-            })
-            .find(|o| o.is_ne())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    rows
-}
-
-/// Run `sql` under every arm; assert all arms agree and return the rows.
-/// The fifth, cost-based arm (the default options) may reorder joins, so it
-/// is compared as a sorted multiset rather than row-for-row.
-fn run_arms(wb: &mut Workbook, sql: &str) -> Vec<Vec<Value>> {
-    let mut reference: Option<Vec<Vec<Value>>> = None;
-    for arm in ARMS {
-        wb.set_exec_options(arm);
-        let (_, rows) = wb
-            .query(sql)
-            .unwrap_or_else(|e| panic!("{sql} under {arm:?}: {e}"));
-        match &reference {
-            None => reference = Some(rows),
-            Some(want) => assert_eq!(&rows, want, "{sql} diverged under {arm:?}"),
-        }
-    }
-    let reference = reference.unwrap();
-    let cost_arm = ExecOptions::default();
-    assert!(cost_arm.cost_based, "default options are cost-based");
-    wb.set_exec_options(cost_arm);
-    let (_, rows) = wb
-        .query(sql)
-        .unwrap_or_else(|e| panic!("{sql} under {cost_arm:?}: {e}"));
-    assert_eq!(
-        sorted(rows),
-        sorted(reference.clone()),
-        "{sql} diverged under the cost-based arm"
-    );
-    reference
+/// Run `sql`, which must succeed, and return its rows.
+fn query_rows(wb: &mut Workbook, sql: &str) -> Vec<Vec<Value>> {
+    wb.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}")).1
 }
 
 #[test]
@@ -97,7 +24,7 @@ fn left_join_preserves_unmatched_rows() {
          INSERT INTO dept VALUES (10, 'eng'), (20, 'ops');",
     )
     .unwrap();
-    let rows = run_arms(
+    let rows = query_rows(
         &mut wb,
         "SELECT eid, dname FROM emp LEFT JOIN dept ON emp.did = dept.did ORDER BY eid",
     );
@@ -122,10 +49,10 @@ fn null_keys_never_equi_match() {
     )
     .unwrap();
     // NULL = NULL is not true: only the 7s pair up.
-    let rows = run_arms(&mut wb, "SELECT v, w FROM a JOIN b ON a.k = b.k");
+    let rows = query_rows(&mut wb, "SELECT v, w FROM a JOIN b ON a.k = b.k");
     assert_eq!(rows, vec![vec![Value::Int(2), Value::Int(20)]]);
     // LEFT JOIN: the NULL-keyed left row survives, null-extended.
-    let rows = run_arms(
+    let rows = query_rows(
         &mut wb,
         "SELECT v, w FROM a LEFT JOIN b ON a.k = b.k ORDER BY v",
     );
@@ -148,7 +75,7 @@ fn mixed_int_float_keys_compare_numerically() {
          INSERT INTO floats VALUES (2.0, 'deux'), (2.5, 'deux-et-demi'), (3.0, 'trois');",
     )
     .unwrap();
-    let rows = run_arms(
+    let rows = query_rows(
         &mut wb,
         "SELECT v, w FROM ints JOIN floats ON ints.k = floats.k ORDER BY v",
     );
@@ -189,7 +116,7 @@ fn natural_join_rejects_duplicate_shared_names() {
         "unexpected error: {err}"
     );
     // Non-shared duplicates are fine.
-    let rows = run_arms(
+    let rows = query_rows(
         &mut wb,
         "SELECT * FROM t NATURAL JOIN (SELECT id, y AS z FROM u) s",
     );
@@ -208,7 +135,7 @@ fn left_join_on_left_side_term_gates_matching_only() {
     .unwrap();
     // p = 1 gates matching: row (1,0) must still appear, null-extended —
     // a pushdown that filtered the left scan would drop it.
-    let rows = run_arms(
+    let rows = query_rows(
         &mut wb,
         "SELECT l.k, w FROM l LEFT JOIN r ON l.k = r.k AND l.p = 1 ORDER BY l.k",
     );
@@ -233,108 +160,11 @@ fn left_join_where_on_right_side_is_not_pushed() {
     .unwrap();
     // The anti-join pattern: WHERE r.k IS NULL must see the null-extended
     // rows, so it cannot sink into the right scan.
-    let rows = run_arms(
+    let rows = query_rows(
         &mut wb,
         "SELECT l.k FROM l LEFT JOIN r ON l.k = r.k WHERE r.k IS NULL",
     );
     assert_eq!(rows, vec![vec![Value::Int(2)]]);
-}
-
-// ---- property suites -----------------------------------------------------
-
-/// Random mixed-type join key: NULL, Int, or Float (often integral, so
-/// Int/Float cross-matches actually occur).
-fn rand_key(rng: &mut Rng) -> Value {
-    match rng.weighted(&[2, 4, 4]) {
-        0 => Value::Empty,
-        1 => Value::Int(rng.i64().rem_euclid(12)),
-        _ => {
-            let base = rng.i64().rem_euclid(12) as f64;
-            if rng.bool() {
-                Value::Float(base)
-            } else {
-                Value::Float(base + 0.5)
-            }
-        }
-    }
-}
-
-fn fill(wb: &mut Workbook, table: &str, rng: &mut Rng, rows: usize) {
-    let mut t = wb.catalog_mut().get_mut(table).unwrap();
-    for _ in 0..rows {
-        let k = rand_key(rng);
-        let v = Value::Int(rng.i64().rem_euclid(6));
-        t.insert(vec![k, v]).unwrap();
-    }
-}
-
-#[test]
-fn property_hash_join_equals_nested_loop() {
-    cases(30, 0x0001_01A0_A5A5, |rng| {
-        let mut wb = Workbook::new();
-        wb.execute_script(
-            "CREATE TABLE l (k ANY, v INT);
-             CREATE TABLE r (k ANY, w INT);",
-        )
-        .unwrap();
-        let nl = rng.usize_in(0, 40);
-        let nr = rng.usize_in(0, 40);
-        fill(&mut wb, "l", rng, nl);
-        fill(&mut wb, "r", rng, nr);
-        for sql in [
-            "SELECT * FROM l JOIN r ON l.k = r.k",
-            "SELECT * FROM l LEFT JOIN r ON l.k = r.k",
-            "SELECT * FROM l JOIN r ON l.k = r.k AND r.w > 2",
-            "SELECT * FROM l LEFT JOIN r ON l.k = r.k AND l.v < 4",
-            "SELECT * FROM l JOIN r ON l.k = r.k WHERE l.v > 0 AND r.w < 5",
-            "SELECT l.v, r.w FROM l LEFT JOIN r ON l.k = r.k WHERE r.k IS NULL",
-            "SELECT * FROM l NATURAL JOIN r",
-            "SELECT * FROM l CROSS JOIN r WHERE l.v = r.w",
-        ] {
-            run_arms(&mut wb, sql);
-        }
-    });
-}
-
-#[test]
-fn property_hash_aggregation_equals_linear() {
-    cases(30, 0xA6_6E, |rng| {
-        let mut wb = Workbook::new();
-        wb.execute("CREATE TABLE t (k ANY, v INT)").unwrap();
-        let n = rng.usize_in(0, 60);
-        fill(&mut wb, "t", rng, n);
-        for sql in [
-            "SELECT k, COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v) FROM t GROUP BY k",
-            "SELECT k, COUNT(DISTINCT v), SUM(DISTINCT v) FROM t GROUP BY k",
-            "SELECT COUNT(*), SUM(v) FROM t",
-            "SELECT k FROM t GROUP BY k HAVING COUNT(*) > 1",
-        ] {
-            run_arms(&mut wb, sql);
-        }
-    });
-}
-
-#[test]
-fn property_hash_distinct_matches_linear_dedup() {
-    cases(30, 0xD15_71C7, |rng| {
-        let mut wb = Workbook::new();
-        wb.execute("CREATE TABLE t (k ANY, v INT)").unwrap();
-        let n = rng.usize_in(0, 60);
-        fill(&mut wb, "t", rng, n);
-        let all = run_arms(&mut wb, "SELECT k, v FROM t");
-        let distinct = run_arms(&mut wb, "SELECT DISTINCT k, v FROM t");
-        // Reference dedup: first occurrence under componentwise sql_eq.
-        let mut expect: Vec<Vec<Value>> = Vec::new();
-        for row in all {
-            if !expect
-                .iter()
-                .any(|s| s.iter().zip(&row).all(|(a, b)| a.sql_eq(b)))
-            {
-                expect.push(row);
-            }
-        }
-        assert_eq!(distinct, expect);
-    });
 }
 
 // ---- scan pruning --------------------------------------------------------

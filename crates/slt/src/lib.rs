@@ -48,6 +48,11 @@
 //! the file is rewritten in place — the bootstrap and re-baseline path. CI
 //! runs record mode followed by `git diff --exit-code` to prove the
 //! committed corpus matches the engine.
+//!
+//! [`naive`] is the reference `SELECT` evaluator that `tests/differential.rs`
+//! checks every corpus query against.
+
+pub mod naive;
 
 use std::fmt::Write as _;
 use std::path::Path;

@@ -1,42 +1,25 @@
-//! Differential check over the golden corpus: every SELECT must produce
-//! the same multiset of rows under (a) the default stats-driven planner,
-//! (b) costing disabled (syntactic join order), and (c) the nested-loop /
-//! linear reference arms with every optimization off. Plan choice must
-//! never change results.
+//! Differential checks: every query runs on the engine and on the naive
+//! evaluator (`dataspread_slt::naive`), and both must return the same
+//! columns and the same multiset of rows. The naive side shares the parser
+//! and the scalar expression semantics with the engine and nothing else —
+//! no planner, join, aggregate or output code — so a planner bug cannot
+//! hide behind a re-recorded golden.
+//!
+//! The queries come from the whole golden corpus, plus property suites over
+//! random mixed-type (NULL/Int/Float) keys that drive the hash join, hash
+//! GROUP BY and hash DISTINCT paths.
 
 use std::cmp::Ordering;
 use std::path::PathBuf;
 
-use dataspread::{BindModel, ExecOptions, Workbook};
-use dataspread_slt::{parse, RecordKind};
+use dataspread::{BindModel, Workbook};
+use dataspread_slt::{naive, parse, RecordKind};
+use dataspread_testkit::{cases, Rng};
 use dataspread_types::{CellAddr, Value};
-
-/// The three arms: cost-based (default), syntactic order, reference.
-fn arms() -> [(&'static str, ExecOptions); 3] {
-    [
-        ("cost-based", ExecOptions::default()),
-        (
-            "syntactic",
-            ExecOptions {
-                cost_based: false,
-                ..ExecOptions::default()
-            },
-        ),
-        (
-            "reference",
-            ExecOptions {
-                hash_join: false,
-                hash_aggregation: false,
-                predicate_pushdown: false,
-                cost_based: false,
-            },
-        ),
-    ]
-}
 
 /// Multiset normalization: a total row order. `Value::total_cmp` treats
 /// `Int(2)` and `Float(2.0)` as equal, so ties break on the debug string
-/// to keep the sort total across arms.
+/// to keep the sort total.
 fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows.sort_by(|a, b| {
         a.iter()
@@ -49,6 +32,22 @@ fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
             .unwrap_or(Ordering::Equal)
     });
     rows
+}
+
+/// Run `sql` on the engine and on the naive evaluator and assert they
+/// agree. `at` locates the query in failures.
+fn check(wb: &mut Workbook, sql: &str, at: &str) {
+    let (cols, rows) = wb
+        .query(sql)
+        .unwrap_or_else(|e| panic!("{at}: engine failed: {e}\n  {sql}"));
+    let (naive_cols, naive_rows) =
+        naive::query(wb, sql).unwrap_or_else(|e| panic!("{at}: naive failed: {e}\n  {sql}"));
+    assert_eq!(cols, naive_cols, "{at}: column names differ\n  {sql}");
+    assert_eq!(
+        sorted(rows),
+        sorted(naive_rows),
+        "{at}: engine and naive evaluator disagree\n  {sql}"
+    );
 }
 
 #[test]
@@ -89,32 +88,7 @@ fn golden_corpus_plans_agree() {
                 }
                 RecordKind::Explain { .. } | RecordKind::Analyze { .. } => {}
                 RecordKind::Query { sql, .. } => {
-                    let mut baseline: Option<(String, Vec<Vec<Value>>)> = None;
-                    for (name, opts) in arms() {
-                        wb.set_exec_options(opts);
-                        let rows = sorted(
-                            wb.query(sql)
-                                .unwrap_or_else(|e| {
-                                    panic!(
-                                        "{}:{}: {name} arm failed: {e}",
-                                        path.display(),
-                                        rec.line
-                                    )
-                                })
-                                .1,
-                        );
-                        match &baseline {
-                            None => baseline = Some((name.to_string(), rows)),
-                            Some((base, expect)) => assert_eq!(
-                                expect,
-                                &rows,
-                                "{}:{}: {sql}\n  {base} vs {name} arms disagree",
-                                path.display(),
-                                rec.line
-                            ),
-                        }
-                    }
-                    wb.set_exec_options(ExecOptions::default());
+                    check(&mut wb, sql, &format!("{}:{}", path.display(), rec.line));
                     checked += 1;
                 }
             }
@@ -124,5 +98,91 @@ fn golden_corpus_plans_agree() {
         checked >= 300,
         "only {checked} SELECTs differentially checked"
     );
-    println!("differential: {checked} SELECTs agree across 3 planner arms");
+    println!("differential: {checked} corpus SELECTs agree with the naive evaluator");
+}
+
+// ---- property suites -----------------------------------------------------
+
+/// Random mixed-type join key: NULL, Int, or Float (often integral, so
+/// Int/Float cross-matches actually occur).
+fn rand_key(rng: &mut Rng) -> Value {
+    match rng.weighted(&[2, 4, 4]) {
+        0 => Value::Empty,
+        1 => Value::Int(rng.i64().rem_euclid(12)),
+        _ => {
+            let base = rng.i64().rem_euclid(12) as f64;
+            if rng.bool() {
+                Value::Float(base)
+            } else {
+                Value::Float(base + 0.5)
+            }
+        }
+    }
+}
+
+fn fill(wb: &mut Workbook, table: &str, rng: &mut Rng, rows: usize) {
+    let mut t = wb.catalog_mut().get_mut(table).unwrap();
+    for _ in 0..rows {
+        let k = rand_key(rng);
+        let v = Value::Int(rng.i64().rem_euclid(6));
+        t.insert(vec![k, v]).unwrap();
+    }
+}
+
+#[test]
+fn property_hash_join_equals_nested_loop() {
+    cases(30, 0x0001_01A0_A5A5, |rng| {
+        let mut wb = Workbook::new();
+        wb.execute_script(
+            "CREATE TABLE l (k ANY, v INT);
+             CREATE TABLE r (k ANY, w INT);",
+        )
+        .unwrap();
+        let nl = rng.usize_in(0, 40);
+        let nr = rng.usize_in(0, 40);
+        fill(&mut wb, "l", rng, nl);
+        fill(&mut wb, "r", rng, nr);
+        for sql in [
+            "SELECT * FROM l JOIN r ON l.k = r.k",
+            "SELECT * FROM l LEFT JOIN r ON l.k = r.k",
+            "SELECT * FROM l JOIN r ON l.k = r.k AND r.w > 2",
+            "SELECT * FROM l LEFT JOIN r ON l.k = r.k AND l.v < 4",
+            "SELECT * FROM l JOIN r ON l.k = r.k WHERE l.v > 0 AND r.w < 5",
+            "SELECT l.v, r.w FROM l LEFT JOIN r ON l.k = r.k WHERE r.k IS NULL",
+            "SELECT * FROM l NATURAL JOIN r",
+            "SELECT * FROM l CROSS JOIN r WHERE l.v = r.w",
+        ] {
+            check(&mut wb, sql, "join");
+        }
+    });
+}
+
+#[test]
+fn property_hash_aggregation_equals_linear() {
+    cases(30, 0xA6_6E, |rng| {
+        let mut wb = Workbook::new();
+        wb.execute("CREATE TABLE t (k ANY, v INT)").unwrap();
+        let n = rng.usize_in(0, 60);
+        fill(&mut wb, "t", rng, n);
+        for sql in [
+            "SELECT k, COUNT(*), COUNT(v), SUM(v), AVG(v), MIN(v), MAX(v) FROM t GROUP BY k",
+            "SELECT k, COUNT(DISTINCT v), SUM(DISTINCT v) FROM t GROUP BY k",
+            "SELECT COUNT(*), SUM(v) FROM t",
+            "SELECT k FROM t GROUP BY k HAVING COUNT(*) > 1",
+        ] {
+            check(&mut wb, sql, "aggregate");
+        }
+    });
+}
+
+#[test]
+fn property_hash_distinct_matches_linear_dedup() {
+    cases(30, 0xD15_71C7, |rng| {
+        let mut wb = Workbook::new();
+        wb.execute("CREATE TABLE t (k ANY, v INT)").unwrap();
+        let n = rng.usize_in(0, 60);
+        fill(&mut wb, "t", rng, n);
+        check(&mut wb, "SELECT DISTINCT k, v FROM t", "distinct");
+        check(&mut wb, "SELECT DISTINCT k FROM t", "distinct");
+    });
 }
