@@ -12,21 +12,28 @@
 //! 1. **Structural edits** (insert/delete rows/cols) first rewrite the
 //!    references of *other* sheets' formulas pointing at the edited sheet
 //!    (the edited sheet already rewrote its own), then trigger a full
-//!    recompute — structure changes are rare and invalidate broadly.
-//! 2. **Cell edits** seed a dirty set; the affected formulas are found by
-//!    range containment against each formula's precedents, closed
-//!    transitively, topologically ordered (Kahn), and re-evaluated. Cells
-//!    left unordered sit on a reference cycle (or feed from one) and are
-//!    poisoned with `#CYCLE!`.
+//!    recompute — structure changes are rare and invalidate broadly. The
+//!    full pass also rebuilds the `DepIndex` wholesale.
+//! 2. **Cell edits** first re-index every edited cell in the `DepIndex`
+//!    (drop what a formula there was indexed under, re-insert the formula
+//!    there now). The dirty set then stabs the index: each changed position
+//!    yields the formulas with a precedent rectangle containing it, and a
+//!    BFS closes that transitively. The work set is ordered by Kahn's
+//!    algorithm, whose edges come from stabbing the index at each member's
+//!    own position, and re-evaluated. Cells left unordered sit on a
+//!    reference cycle (or feed from one) and are poisoned with `#CYCLE!`.
+//!    No step looks at a formula outside the work set.
 //!
 //! [`CalcStats`] is a view over the workbook's metrics registry
 //! (`calc_passes` / `calc_cells_dirtied` / `calc_cells_recomputed`, see
 //! `docs/OBSERVABILITY.md`); tests use it to pin the "unrelated cells
-//! are not recomputed" property, not just final values.
+//! are not recomputed" property, not just final values, and
+//! `calc_graph_nodes_visited` pins that a pass examined no other formula.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use dataspread_formula::{CellProvider, GridOp};
+use dataspread_gridstore::{RTree, Rect};
 use dataspread_types::{CellAddr, CellError, Range, SheetRef, Value};
 
 use crate::sheet::Sheet;
@@ -43,6 +50,84 @@ pub struct CalcStats {
 
 /// A formula cell's identity: (sheet index, position).
 type CellId = (usize, CellAddr);
+
+/// The dependents index: answers "which formulas read this cell?" by
+/// stabbing an R-tree instead of scanning every formula — provenance
+/// recorded once, when a formula is typed, and consulted on every edit.
+#[derive(Default)]
+pub(crate) struct DepIndex {
+    /// One tree per *precedent* sheet, holding every formula's resolved,
+    /// deduplicated precedent rectangles with the formula as payload.
+    trees: Vec<RTree<CellId>>,
+    /// What each formula was indexed under, so re-typing or clearing it
+    /// drops exactly those entries. Formulas that read nothing are absent.
+    by_formula: HashMap<CellId, Vec<(usize, Range)>>,
+    /// Formulas the last pass covering them poisoned with `#CYCLE!` (on a
+    /// cycle or fed by one). A later pass that leaves one out of its work
+    /// set still poisons the members it feeds, as a full pass would.
+    cyclic: HashSet<CellId>,
+    /// Not built yet (a decoded workbook): the next flush runs a full
+    /// pass, which builds the index and the cycle set.
+    stale: bool,
+}
+
+impl std::fmt::Debug for DepIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DepIndex")
+            .field("formulas", &self.by_formula.len())
+            .field("cyclic", &self.cyclic.len())
+            .field("stale", &self.stale)
+            .finish()
+    }
+}
+
+impl DepIndex {
+    /// An index the next flush must rebuild with a full pass.
+    pub(crate) fn stale() -> Self {
+        DepIndex {
+            stale: true,
+            ..DepIndex::default()
+        }
+    }
+
+    fn insert(&mut self, id: CellId, precs: Vec<(usize, Range)>) {
+        if precs.is_empty() {
+            return;
+        }
+        for &(si, range) in &precs {
+            if self.trees.len() <= si {
+                self.trees.resize_with(si + 1, RTree::default);
+            }
+            self.trees[si].insert(Rect::from_range(range), id);
+        }
+        self.by_formula.insert(id, precs);
+    }
+
+    fn remove(&mut self, id: CellId) {
+        // Only indexed formulas can be cyclic (a cycle needs an edge in), and
+        // the guard keeps a pass over a formula-free workbook hash-free.
+        if self.by_formula.is_empty() {
+            return;
+        }
+        self.cyclic.remove(&id);
+        for (si, range) in self.by_formula.remove(&id).into_iter().flatten() {
+            if let Some(tree) = self.trees.get_mut(si) {
+                tree.remove(Rect::from_range(range), id);
+            }
+        }
+    }
+
+    /// Formulas with an indexed precedent rectangle containing the cell,
+    /// once per such rectangle, in sorted order.
+    fn readers(&self, (si, addr): CellId) -> Vec<CellId> {
+        let mut out = match self.trees.get(si) {
+            Some(tree) => tree.point_search(addr.row, addr.col),
+            None => Vec::new(),
+        };
+        out.sort_unstable();
+        out
+    }
+}
 
 /// Cross-sheet cell resolution over the workbook's cached values.
 pub(crate) struct WbCells<'a> {
@@ -74,33 +159,42 @@ impl Workbook {
         }
     }
 
-    /// Every formula cell in the workbook with its resolved precedents.
-    fn formula_graph(&self) -> Vec<(CellId, Vec<(usize, Range)>)> {
-        let mut out = Vec::new();
-        for (i, sheet) in self.sheets.iter().enumerate() {
-            for addr in sheet.formula_addrs() {
-                let precs = match sheet.formula_ast(addr) {
-                    Some(ast) => ast
-                        .precedents()
-                        .into_iter()
-                        .filter_map(|(s, r)| self.resolve_sheet(i, &s).map(|si| (si, r)))
-                        .collect(),
-                    // Unparseable formulas display #NAME? and read nothing.
-                    None => Vec::new(),
-                };
-                out.push(((i, addr), precs));
+    /// The resolved, deduplicated precedents of the formula at `id`; empty
+    /// when there is none (or it did not parse: it displays `#NAME?` and
+    /// reads nothing).
+    fn precedents(&self, (i, addr): CellId) -> Vec<(usize, Range)> {
+        let mut out: Vec<(usize, Range)> = Vec::new();
+        let Some(ast) = self.sheets[i].formula_ast(addr) else {
+            return out;
+        };
+        for (s, range) in ast.precedents() {
+            if let Some(si) = self.resolve_sheet(i, &s) {
+                if !out.contains(&(si, range)) {
+                    out.push((si, range));
+                }
             }
         }
         out
     }
 
-    /// Fold every sheet's pending edits into the dependency graph and
-    /// recompute what they invalidate. Cheap no-op when nothing is pending.
+    /// Bring the index up to date with the edited cells: whatever formula
+    /// each held before is dropped, whatever it holds now is inserted.
+    fn reindex(&mut self, dirty: &[CellId]) {
+        for &id in dirty {
+            self.deps.remove(id);
+            let precs = self.precedents(id);
+            self.deps.insert(id, precs);
+        }
+    }
+
+    /// Fold every sheet's pending edits into the dependents index and
+    /// recompute what they invalidate. Cheap no-op when nothing is pending
+    /// and the index is built.
     /// Called by every workbook-level read and at the end of every
     /// workbook-level edit, so direct `sheet_mut` edits are folded in no
     /// later than the next workbook operation.
     pub(crate) fn flush_grid(&mut self) {
-        if self.sheets.iter().all(|s| !s.has_pending()) {
+        if !self.deps.stale && self.sheets.iter().all(|s| !s.has_pending()) {
             return;
         }
         let mut dirty: Vec<CellId> = Vec::new();
@@ -127,88 +221,82 @@ impl Workbook {
                 }
             }
         }
-        if !structural.is_empty() {
+        if !structural.is_empty() || self.deps.stale {
             self.recompute_all();
         } else {
+            self.reindex(&dirty);
             self.recompute_after(&dirty);
         }
     }
 
-    /// Re-evaluate every formula in the workbook (topological order, cycles
-    /// poisoned). Used after structural edits, sheet creation, and recovery.
+    /// Rebuild the dependents index and re-evaluate every formula in the
+    /// workbook (topological order, cycles poisoned). Used after structural
+    /// edits, sheet creation, `recalculate`, and on a stale index.
     pub(crate) fn recompute_all(&mut self) {
-        let graph = self.formula_graph();
-        let work: HashSet<CellId> = graph.iter().map(|(id, _)| *id).collect();
-        self.recompute_set(graph, work);
+        let mut deps = DepIndex::default();
+        let mut work: Vec<CellId> = Vec::new();
+        for i in 0..self.sheets.len() {
+            for addr in self.sheets[i].formula_addrs() {
+                deps.insert((i, addr), self.precedents((i, addr)));
+                work.push((i, addr));
+            }
+        }
+        self.deps = deps;
+        self.recompute_set(work);
     }
 
     /// Incremental pass: re-evaluate exactly the formulas downstream of the
-    /// edited positions.
+    /// edited positions, found by stabbing the index — breadth-first from
+    /// the edits, then from each formula scheduled.
     fn recompute_after(&mut self, dirty: &[CellId]) {
-        if dirty.is_empty() {
-            return;
-        }
-        let graph = self.formula_graph();
         // Seed: edited cells that are themselves formulas must re-evaluate.
-        let formula_ids: HashSet<CellId> = graph.iter().map(|(id, _)| *id).collect();
-        let mut positions: HashSet<CellId> = dirty.iter().copied().collect();
         let mut work: HashSet<CellId> = dirty
             .iter()
             .copied()
-            .filter(|id| formula_ids.contains(id))
+            .filter(|&(i, a)| self.sheets[i].formula_text(a).is_some())
             .collect();
-        // Transitive closure: a formula joins the work set when any of its
-        // precedent ranges contains a changed position (original edits or
-        // formulas already scheduled).
-        loop {
-            let mut grew = false;
-            for (id, precs) in &graph {
-                if work.contains(id) {
-                    continue;
+        let mut edits = dirty.iter().copied();
+        let mut queue: VecDeque<CellId> = VecDeque::new();
+        while let Some(pos) = edits.next().or_else(|| queue.pop_front()) {
+            for f in self.deps.readers(pos) {
+                if work.insert(f) {
+                    queue.push_back(f);
                 }
-                let hit = precs.iter().any(|(si, range)| {
-                    positions
-                        .iter()
-                        .any(|(pi, pa)| pi == si && range.contains(*pa))
-                });
-                if hit {
-                    work.insert(*id);
-                    positions.insert(*id);
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
             }
         }
         if !work.is_empty() {
-            self.recompute_set(graph, work);
+            self.recompute_set(work.into_iter().collect());
         }
     }
 
-    /// Evaluate the formulas in `work` in dependency order; whatever Kahn's
+    /// Evaluate `members` in dependency order; whatever Kahn's
     /// algorithm cannot order is on (or downstream of) a cycle → `#CYCLE!`.
-    fn recompute_set(&mut self, graph: Vec<(CellId, Vec<(usize, Range)>)>, work: HashSet<CellId>) {
+    fn recompute_set(&mut self, mut members: Vec<CellId>) {
         self.obs.calc_passes.bump();
-        let prec_of: HashMap<CellId, &Vec<(usize, Range)>> = graph
-            .iter()
-            .filter(|(id, _)| work.contains(id))
-            .map(|(id, p)| (*id, p))
-            .collect();
+        self.obs.calc_graph_nodes_visited.add(members.len() as u64);
         // Deterministic member order keeps evaluation order (and therefore
         // tie-breaks) stable across runs.
-        let mut members: Vec<CellId> = work.iter().copied().collect();
-        members.sort();
-        // Edge g → f when f's precedents contain g (both in the work set).
-        // A self-loop (`=A1` in A1) counts like any other cycle edge.
+        members.sort_unstable();
+        // Edge g → f once per indexed precedent rectangle of f containing g
+        // (both in the work set). A self-loop (`=A1` in A1) counts like any
+        // other cycle edge.
         let mut indegree: HashMap<CellId, usize> = members.iter().map(|id| (*id, 0)).collect();
         let mut dependents: HashMap<CellId, Vec<CellId>> = HashMap::new();
-        for &f in &members {
-            for (si, range) in prec_of.get(&f).copied().into_iter().flatten() {
-                for &g in &members {
-                    if g.0 == *si && range.contains(g.1) {
-                        *indegree.get_mut(&f).expect("member") += 1;
-                        dependents.entry(g).or_default().push(f);
+        for &g in &members {
+            for f in self.deps.readers(g) {
+                if let Some(d) = indegree.get_mut(&f) {
+                    *d += 1;
+                    dependents.entry(g).or_default().push(f);
+                }
+            }
+        }
+        // A poisoned formula outside the work set feeds its readers an edge
+        // that never resolves: they stay unordered and are poisoned too.
+        for &c in &self.deps.cyclic {
+            if !indegree.contains_key(&c) {
+                for f in self.deps.readers(c) {
+                    if let Some(d) = indegree.get_mut(&f) {
+                        *d += 1;
                     }
                 }
             }
@@ -216,7 +304,7 @@ impl Workbook {
         let mut queue: VecDeque<CellId> = members
             .iter()
             .copied()
-            .filter(|id| indegree[id] == 0)
+            .filter(|id| indegree.get(id) == Some(&0))
             .collect();
         let mut done: HashSet<CellId> = HashSet::new();
         // Topological level per cell: roots sit at level 1, a dependent sits
@@ -231,12 +319,10 @@ impl Workbook {
             self.eval_formula_cell(id);
             let lvl = level.get(&id).copied().unwrap_or(1);
             max_level = max_level.max(lvl);
-            if let Some(deps) = dependents.get(&id) {
-                // Clone: decrementing counts while iterating the edge list.
-                for d in deps.clone() {
-                    let slot = level.entry(d).or_insert(0);
-                    *slot = (*slot).max(lvl + 1);
-                    let slot = indegree.get_mut(&d).expect("member");
+            for d in dependents.remove(&id).into_iter().flatten() {
+                let slot = level.entry(d).or_insert(0);
+                *slot = (*slot).max(lvl + 1);
+                if let Some(slot) = indegree.get_mut(&d) {
                     *slot -= 1;
                     if *slot == 0 {
                         queue.push_back(d);
@@ -247,9 +333,12 @@ impl Workbook {
         self.obs.calc_topo_depth.set(max_level as i64);
         // Leftovers are cyclic (or fed by a cycle): poison them.
         for id in members {
-            if !done.contains(&id) {
+            if done.contains(&id) {
+                self.deps.cyclic.remove(&id);
+            } else {
                 self.sheets[id.0].set_cached(id.1, Value::Error(CellError::Cycle));
                 self.obs.calc_cells_recomputed.bump();
+                self.deps.cyclic.insert(id);
             }
         }
     }
@@ -343,6 +432,24 @@ mod tests {
         // Breaking the cycle heals both cells.
         wb.set_input(s, a("B1"), "1").unwrap();
         assert_eq!(wb.cell(s, a("A1")), Value::Int(2));
+    }
+
+    #[test]
+    fn new_readers_of_a_cycle_are_poisoned_like_a_full_pass() {
+        let mut wb = Workbook::new();
+        let s = wb.current_sheet();
+        wb.set_input(s, a("A1"), "=B1+1").unwrap();
+        wb.set_input(s, a("B1"), "=A1+1").unwrap();
+        // C1 never evaluates A1 (the IF takes the other branch), but it is
+        // fed by a cycle; the pass sees only C1 and must still poison it.
+        wb.set_input(s, a("C1"), "=IF(D1>0,A1,7)").unwrap();
+        assert_eq!(wb.cell(s, a("C1")), Value::Error(CellError::Cycle));
+        wb.recalculate();
+        assert_eq!(wb.cell(s, a("C1")), Value::Error(CellError::Cycle));
+        // Breaking the cycle frees the reader.
+        wb.set_input(s, a("B1"), "1").unwrap();
+        assert_eq!(wb.cell(s, a("A1")), Value::Int(2));
+        assert_eq!(wb.cell(s, a("C1")), Value::Int(7));
     }
 
     #[test]
@@ -450,6 +557,98 @@ mod tests {
         wb.sheet_mut(s).set_input(a("A1"), "100").unwrap();
         let (_, rows) = wb.query("SELECT RANGEVALUE(B1)").unwrap();
         assert_eq!(rows, vec![vec![Value::Int(102)]]);
+    }
+
+    /// A workbook laid out like dsbench's `recalc`: 3 000 inputs in A,
+    /// `B{i} = A{i}*2+1` on the first 2 400, a 300-long chain in C fed by
+    /// G1, 30 block sums of 100 inputs then 10 whole-column sums in D, and
+    /// 150 readers of `$E$1` in F — 2 890 formulas, each typed on its own.
+    fn recalc_shaped() -> (Workbook, crate::SheetId) {
+        let mut wb = Workbook::new();
+        let s = wb.current_sheet();
+        let inputs: Vec<Vec<Value>> = (0..3000).map(|i| vec![Value::Int(i % 97)]).collect();
+        wb.set_region(s, a("A1"), &inputs).unwrap();
+        wb.set_value(s, a("E1"), Value::Int(0)).unwrap();
+        wb.set_value(s, a("G1"), Value::Int(0)).unwrap();
+        let mut formula = |cell: String, src: String| {
+            wb.set_input(s, a(&cell), &src).unwrap();
+        };
+        for i in 1..=2400 {
+            formula(format!("B{i}"), format!("=A{i}*2+1"));
+        }
+        formula("C1".into(), "=G1".into());
+        for k in 2..=300 {
+            formula(format!("C{k}"), format!("=C{}+1", k - 1));
+        }
+        for b in 0..30 {
+            let first = b * 100 + 1;
+            formula(
+                format!("D{}", b + 1),
+                format!("=SUM(A{first}:A{})", first + 99),
+            );
+        }
+        for k in 0..10 {
+            formula(format!("D{}", 31 + k), format!("=SUM(A1:A3000)+{k}"));
+        }
+        for k in 1..=150 {
+            formula(format!("F{k}"), format!("=$E$1+{k}"));
+        }
+        (wb, s)
+    }
+
+    #[test]
+    fn index_stabs_visit_only_the_dependents_of_an_edit() {
+        let (mut wb, s) = recalc_shaped();
+        let visited = |wb: &Workbook| wb.obs.calc_graph_nodes_visited.get();
+        let recomputed = |wb: &Workbook| wb.calc_stats().cells_recomputed;
+
+        // An edit nothing reads examines no formula and runs no pass.
+        let (v0, p0) = (visited(&wb), wb.calc_stats().passes);
+        wb.set_value(s, a("H5"), Value::Int(1)).unwrap();
+        assert_eq!(visited(&wb) - v0, 0);
+        assert_eq!(wb.calc_stats().passes - p0, 0);
+
+        // A leaf edit reaches B5, its block sum D1 and the ten column sums.
+        let (v0, r0) = (visited(&wb), recomputed(&wb));
+        wb.set_value(s, a("A5"), Value::Int(1000)).unwrap();
+        assert_eq!(visited(&wb) - v0, 12);
+        assert_eq!(recomputed(&wb) - r0, 12);
+        assert_eq!(wb.cell(s, a("B5")), Value::Int(2001));
+        let total: i64 = (0..3000).map(|i| i % 97).sum::<i64>() - 4 + 1000;
+        assert_eq!(wb.cell(s, a("D40")), Value::Int(total + 9));
+
+        // A chain-head edit reaches exactly the 300 chain cells, in order.
+        let v0 = visited(&wb);
+        wb.set_value(s, a("G1"), Value::Int(7)).unwrap();
+        assert_eq!(visited(&wb) - v0, 300);
+        assert_eq!(wb.cell(s, a("C300")), Value::Int(306));
+        assert_eq!(wb.obs.calc_topo_depth.get(), 300);
+    }
+
+    #[test]
+    fn retyped_and_cleared_formulas_leave_the_index() {
+        let mut wb = Workbook::new();
+        let s = wb.current_sheet();
+        // Overlapping precedent rectangles under one formula.
+        wb.set_input(s, a("B1"), "=SUM(A1:A3)+SUM(A3:A5)+SUM(A5:A7)")
+            .unwrap();
+        wb.set_input(s, a("C1"), "=B1").unwrap();
+        // Retype B1 to read column D instead: A edits no longer reach it.
+        wb.set_input(s, a("B1"), "=D1*2").unwrap();
+        let before = wb.calc_stats().cells_recomputed;
+        for r in 1..=7 {
+            wb.set_value(s, a(&format!("A{r}")), Value::Int(r)).unwrap();
+        }
+        assert_eq!(wb.calc_stats().cells_recomputed, before);
+        wb.set_value(s, a("D1"), Value::Int(4)).unwrap();
+        assert_eq!(wb.cell(s, a("C1")), Value::Int(8));
+        // Clearing B1 drops its entries; C1 still re-reads the empty cell.
+        wb.set_value(s, a("B1"), Value::Empty).unwrap();
+        let before = wb.calc_stats().cells_recomputed;
+        wb.set_value(s, a("D1"), Value::Int(5)).unwrap();
+        assert_eq!(wb.calc_stats().cells_recomputed, before);
+        assert_eq!(wb.cell(s, a("C1")), Value::Empty);
+        assert!(wb.deps.by_formula.keys().all(|id| id.1 == a("C1")));
     }
 
     #[test]

@@ -32,6 +32,8 @@ pub(crate) struct WbObs {
     pub calc_cells_recomputed: Counter,
     /// Topological depth (levels) of the last recompute pass.
     pub calc_topo_depth: Gauge,
+    /// Formula cells examined by recompute passes.
+    pub calc_graph_nodes_visited: Counter,
     /// Bound-region refresh passes that re-rendered a table.
     pub bind_refreshes: Counter,
     /// Sheet cells actually rewritten by binding sync diffs.
@@ -71,6 +73,7 @@ impl Default for WbObs {
             calc_cells_dirtied: registry.counter("calc_cells_dirtied"),
             calc_cells_recomputed: registry.counter("calc_cells_recomputed"),
             calc_topo_depth: registry.gauge("calc_topo_depth"),
+            calc_graph_nodes_visited: registry.counter("calc_graph_nodes_visited"),
             bind_refreshes: registry.counter("bind_refreshes"),
             bind_cells_diffed: registry.counter("bind_cells_diffed"),
             registry,

@@ -208,6 +208,9 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
         obs: WbObs::default(),
         clock,
         bindings,
+        // Decoded formulas are not indexed yet: the first flush (the one
+        // `open` runs) recomputes in full and builds the index.
+        deps: crate::calc::DepIndex::stale(),
     })
 }
 
@@ -328,8 +331,9 @@ impl Workbook {
         }
         // Re-render every bound region from the recovered tables (mirror
         // cells are never WAL-logged — they are derivable), then fold the
-        // replayed edits into one recomputation pass (snapshot caches are
-        // fresh — checkpoints flush before encoding).
+        // replayed edits in. The decoded dependents index is stale, so this
+        // first flush is one full pass: it evaluates every formula and
+        // builds the index the incremental passes after it stab.
         wb.sync_bindings()?;
         wb.flush_grid();
         // Fold the replayed tail into a fresh checkpoint + empty WAL.

@@ -18,7 +18,7 @@ use dataspread_sql::resolver::SheetResolver;
 use dataspread_types::{col_to_letters, CellAddr, DataType, DsError, DsResult, Range, Value};
 
 use crate::bind::BindingRegistry;
-use crate::calc::CalcStats;
+use crate::calc::{CalcStats, DepIndex};
 use crate::engine::{self, QueryResult};
 use crate::metrics::WbObs;
 use crate::sheet::Sheet;
@@ -70,6 +70,8 @@ pub struct Workbook {
     pub(crate) clock: Arc<AtomicU64>,
     /// Table-bound sheet regions (paper §2.1 TOM/ROM/COM; see `crate::bind`).
     pub(crate) bindings: BindingRegistry,
+    /// Which formulas read which cells (see `calc::DepIndex`).
+    pub(crate) deps: DepIndex,
 }
 
 impl Default for Workbook {
@@ -90,6 +92,8 @@ impl Workbook {
             obs: WbObs::default(),
             clock: Arc::new(AtomicU64::new(1)),
             bindings: BindingRegistry::default(),
+            // No formulas yet: the empty index is already exact.
+            deps: DepIndex::default(),
         };
         wb.add_sheet("Sheet1")
             .expect("fresh workbook accepts a sheet");

@@ -152,6 +152,7 @@ fn incremental_touches_only_downstream_formulas() {
             .unwrap();
     }
     let before = wb.calc_stats().cells_recomputed;
+    let visited_before = visited(&wb);
     wb.set_input(s, CellAddr::new(0, 0), "10").unwrap();
     let touched = wb.calc_stats().cells_recomputed - before;
     assert_eq!(
@@ -159,7 +160,147 @@ fn incremental_touches_only_downstream_formulas() {
         "editing A1 must recompute exactly B1, B2, C1 — not the 50 unrelated formulas"
     );
     assert_eq!(
+        visited(&wb) - visited_before,
+        3,
+        "the pass must not even examine the 50 unrelated formulas"
+    );
+    assert_eq!(
         wb.cell(s, CellAddr::parse_a1("C1").unwrap()),
         Value::Int(31)
     );
+}
+
+/// Formula cells any recompute pass has examined so far.
+fn visited(wb: &Workbook) -> u64 {
+    wb.metrics_snapshot()
+        .counter("calc_graph_nodes_visited")
+        .unwrap_or(0)
+}
+
+/// Cases per property run: `DSP_STRESS_ITERS` (default 60), as the
+/// concurrency and chaos suites read it.
+fn iters() -> u64 {
+    std::env::var("DSP_STRESS_ITERS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(60)
+}
+
+/// A random cell of `sheet` that holds a formula now, if any.
+fn formula_cell(wb: &Workbook, sheet: SheetId, rng: &mut testkit::Rng) -> Option<CellAddr> {
+    let window = Range::from_bounds(0, 0, ROWS + 12, COLS + 12);
+    let cells: Vec<CellAddr> = window
+        .iter_cells()
+        .filter(|&a| wb.sheet(sheet).formula_text(a).is_some())
+        .collect();
+    (!cells.is_empty()).then(|| cells[rng.index(cells.len())])
+}
+
+/// One step of the lockstep stream, applied to both workbooks.
+#[derive(Debug)]
+enum Edit {
+    Input(SheetId, CellAddr, String),
+    Value(SheetId, CellAddr, Value),
+    /// Insert rows, delete rows, insert columns, delete columns (0..=3).
+    Structural(u32, SheetId, u32, u32),
+    AddLater,
+}
+
+impl Edit {
+    fn apply(&self, wb: &mut Workbook) {
+        match self {
+            Edit::Input(s, a, input) => {
+                wb.set_input(*s, *a, input).unwrap();
+            }
+            Edit::Value(s, a, v) => {
+                wb.set_value(*s, *a, v.clone()).unwrap();
+            }
+            Edit::Structural(k, s, at, n) => match k {
+                0 => wb.insert_rows(*s, *at, *n),
+                1 => wb.delete_rows(*s, *at, *n),
+                2 => wb.insert_cols(*s, at % COLS, *n),
+                _ => wb.delete_cols(*s, at % COLS, *n),
+            }
+            .unwrap(),
+            Edit::AddLater => {
+                wb.add_sheet("Later").unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn incremental_matches_full_after_every_edit() {
+    // Two workbooks take one seeded edit stream: `inc` relies on the
+    // dependents index alone, `full` recalculates from scratch after every
+    // edit. They must agree after every step, not just at the end — a
+    // final `recalculate()` would rebuild a broken index and hide it.
+    let names = ["Sheet1", "Data", "Later"];
+    testkit::cases(iters(), 0x1A57_57E9, |rng| {
+        let mut inc = Workbook::new();
+        let mut full = Workbook::new();
+        let mut ids = vec![inc.current_sheet()];
+        ids.push(inc.add_sheet("Data").unwrap());
+        full.add_sheet("Data").unwrap();
+        let edits = rng.usize_in(20, 60);
+        // Mid-stream, healing every `Later!…` reference typed so far.
+        let later_at = rng.index(edits);
+        let mut self_refs: Vec<(SheetId, CellAddr)> = Vec::new();
+        for step in 0..edits {
+            let sheet = ids[rng.index(ids.len())];
+            let formula_or_any = |rng: &mut testkit::Rng| {
+                formula_cell(&inc, sheet, rng).unwrap_or_else(|| rand_addr(rng))
+            };
+            let edit = if step == later_at {
+                Edit::AddLater
+            } else {
+                match rng.weighted(&[5, 4, 3, 2, 2, 1, 2, 2, 4]) {
+                    0 => Edit::Input(sheet, rand_addr(rng), rng.below(100).to_string()),
+                    1 => Edit::Input(sheet, rand_addr(rng), rand_formula(rng, &names)),
+                    // Retype a formula with new precedents.
+                    2 => Edit::Input(sheet, formula_or_any(rng), rand_formula(rng, &names)),
+                    // Overwrite a formula cell with a literal, or clear it.
+                    3 => Edit::Value(
+                        sheet,
+                        formula_or_any(rng),
+                        Value::Int(rng.below(100) as i64),
+                    ),
+                    4 => Edit::Value(sheet, formula_or_any(rng), Value::Empty),
+                    5 => Edit::Value(sheet, rand_addr(rng), Value::Empty),
+                    // A self-reference (direct, or through a range) …
+                    6 => {
+                        let addr = rand_addr(rng);
+                        self_refs.push((sheet, addr));
+                        let f = match rng.bool() {
+                            true => format!("={}+1", a1(addr)),
+                            false => format!("=SUM(A1:{})", a1(CellAddr::new(ROWS, COLS))),
+                        };
+                        Edit::Input(sheet, addr, f)
+                    }
+                    // … and breaking one again.
+                    7 => {
+                        let (sheet, addr) = self_refs.pop().unwrap_or((sheet, rand_addr(rng)));
+                        Edit::Input(sheet, addr, rand_formula(rng, &names))
+                    }
+                    _ => Edit::Structural(
+                        rng.u32_in(0, 4),
+                        sheet,
+                        rng.u32_in(0, ROWS),
+                        rng.u32_in(1, 3),
+                    ),
+                }
+            };
+            edit.apply(&mut inc);
+            edit.apply(&mut full);
+            full.recalculate();
+            if step == later_at {
+                ids.push(inc.sheet_id("Later").unwrap());
+            }
+            assert_eq!(
+                snapshot(&inc, &ids),
+                snapshot(&full, &ids),
+                "step {step} ({edit:?}): incremental ≠ full recompute"
+            );
+        }
+    });
 }

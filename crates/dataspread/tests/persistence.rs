@@ -513,3 +513,45 @@ fn statistics_survive_save_open_and_wal_replay() {
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&crashed).unwrap();
 }
+
+/// Recovery must leave a live dependents index behind, covering the
+/// checkpointed formulas *and* the ones replayed from the WAL tail: an index
+/// left empty on open would show every value right and recompute nothing.
+#[test]
+fn reopened_workbook_recomputes_dependents_incrementally() {
+    let dir = tmp_dir("depindex");
+    let mut wb = Workbook::new();
+    let s = wb.current_sheet();
+    // A 20-cell chain B1..B20 off A1, and 50 formulas reading column Z.
+    wb.set_input(s, a("A1"), "1").unwrap();
+    wb.set_input(s, a("B1"), "=A1+1").unwrap();
+    for r in 2..=20 {
+        wb.set_input(s, a(&format!("B{r}")), &format!("=B{}+1", r - 1))
+            .unwrap();
+    }
+    for r in 1..=50 {
+        wb.set_input(s, a(&format!("D{r}")), &format!("=Z{r}*2"))
+            .unwrap();
+    }
+    wb.save(&dir).unwrap();
+    // Typed after the checkpoint: lives only in the WAL tail.
+    wb.set_input(s, a("C1"), "=B20*10").unwrap();
+    assert_eq!(wb.cell(s, a("C1")), Value::Int(210));
+    drop(wb);
+
+    let mut wb = Workbook::open(&dir).unwrap();
+    let s = wb.current_sheet();
+    assert_eq!(wb.formula_text(s, a("C1")), Some("=B20*10"));
+    let before = wb.calc_stats().cells_recomputed;
+    wb.set_input(s, a("A1"), "100").unwrap();
+    for r in 1..=20 {
+        assert_eq!(wb.cell(s, a(&format!("B{r}"))), Value::Int(100 + r));
+    }
+    assert_eq!(wb.cell(s, a("C1")), Value::Int(1200), "replayed dependent");
+    assert_eq!(
+        wb.calc_stats().cells_recomputed - before,
+        21,
+        "exactly the chain and the replayed formula recompute"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -53,6 +53,11 @@ impl Rect {
         r >= self.r0 && r <= self.r1 && c >= self.c0 && c <= self.c1
     }
 
+    /// Does this rectangle cover all of `o`?
+    pub fn contains(&self, o: &Rect) -> bool {
+        self.r0 <= o.r0 && o.r1 <= self.r1 && self.c0 <= o.c0 && o.c1 <= self.c1
+    }
+
     pub fn union(&self, o: &Rect) -> Rect {
         Rect {
             r0: self.r0.min(o.r0),
@@ -332,8 +337,9 @@ impl<P: Copy + PartialEq> RTree<P> {
 
     // ---- delete -----------------------------------------------------------
 
-    /// Remove the entry with this payload whose stored rect intersects
-    /// `rect`. Returns `true` if an entry was removed.
+    /// Remove the entry stored under exactly `rect` with this payload (one
+    /// payload may sit under several, overlapping rectangles). Returns
+    /// `true` if an entry was removed.
     pub fn remove(&mut self, rect: Rect, payload: P) -> bool {
         let mut orphans: Vec<(Rect, P)> = Vec::new();
         let found = self.remove_rec(self.root, rect, payload, &mut orphans);
@@ -380,7 +386,7 @@ impl<P: Copy + PartialEq> RTree<P> {
                 RNodeKind::Leaf(entries) => {
                     if let Some(i) = entries
                         .iter()
-                        .position(|(r, p)| *p == payload && r.intersects(&rect))
+                        .position(|(r, p)| *p == payload && *r == rect)
                     {
                         entries.remove(i);
                         return true;
@@ -394,7 +400,7 @@ impl<P: Copy + PartialEq> RTree<P> {
                 RNodeKind::Internal(entries) => entries
                     .iter()
                     .enumerate()
-                    .filter(|(_, (r, _))| r.intersects(&rect))
+                    .filter(|(_, (r, _))| r.contains(&rect))
                     .map(|(i, (_, c))| (i, *c))
                     .collect(),
                 _ => unreachable!(),
@@ -520,6 +526,8 @@ mod tests {
         assert_eq!(a.enlargement(&b), 49 - 25);
         assert!(a.contains_point(4, 4));
         assert!(!a.contains_point(5, 0));
+        assert!(a.contains(&Rect::new(1, 1, 4, 4)));
+        assert!(!a.contains(&b));
     }
 
     #[test]
@@ -572,6 +580,32 @@ mod tests {
         }
         assert!(t.is_empty());
         assert!(t.search(Rect::new(0, 0, 1000, 1000)).is_empty());
+    }
+
+    #[test]
+    fn shared_payload_entries_remove_by_exact_rect() {
+        // One payload under a chain of overlapping rects (a formula reading
+        // A1:A3, A3:A5 and A5:A7). Removing by "any intersecting entry"
+        // could take A3:A5 for A1:A3, then A5:A7 for A3:A5, and leave A1:A3
+        // behind with nothing to match A5:A7.
+        let mut t: RTree<u32> = RTree::new(4);
+        let chain = [
+            Rect::new(0, 0, 2, 0),
+            Rect::new(2, 0, 4, 0),
+            Rect::new(4, 0, 6, 0),
+        ];
+        for r in [chain[1], chain[2], chain[0]] {
+            t.insert(r, 7);
+        }
+        t.insert(Rect::new(1, 0, 5, 0), 8);
+        assert!(
+            !t.remove(Rect::new(0, 0, 1, 0), 7),
+            "intersecting is not enough"
+        );
+        for r in chain {
+            assert!(t.remove(r, 7), "remove {r:?}");
+        }
+        assert_eq!(t.search(Rect::new(0, 0, 10, 10)), vec![8]);
     }
 
     #[test]

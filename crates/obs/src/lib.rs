@@ -337,6 +337,11 @@ pub const METRICS: &[MetricSpec] = &[
         help: "Topological depth (levels) of the last recompute pass",
     },
     MetricSpec {
+        name: "calc_graph_nodes_visited",
+        kind: MetricKind::Counter,
+        help: "Formula cells recompute passes examined (work set plus precedent tests)",
+    },
+    MetricSpec {
         name: "bind_refreshes",
         kind: MetricKind::Counter,
         help: "Bound-region refresh passes that re-rendered a table",
