@@ -31,6 +31,7 @@
 //! `calc_graph_nodes_visited` pins that a pass examined no other formula.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::ControlFlow;
 
 use dataspread_formula::{CellProvider, GridOp};
 use dataspread_gridstore::{RTree, Rect};
@@ -136,8 +137,8 @@ pub(crate) struct WbCells<'a> {
     home: usize,
 }
 
-impl CellProvider for WbCells<'_> {
-    fn cell_value(&self, sheet: &SheetRef, addr: CellAddr) -> Result<Value, CellError> {
+impl WbCells<'_> {
+    fn resolve(&self, sheet: &SheetRef) -> Result<&Sheet, CellError> {
         let idx = match sheet {
             SheetRef::Current => self.home,
             SheetRef::Named(n) => *self
@@ -145,7 +146,23 @@ impl CellProvider for WbCells<'_> {
                 .get(&n.to_ascii_lowercase())
                 .ok_or(CellError::Ref)?,
         };
-        Ok(self.sheets[idx].value(addr))
+        Ok(&self.sheets[idx])
+    }
+}
+
+impl CellProvider for WbCells<'_> {
+    fn cell_value(&self, sheet: &SheetRef, addr: CellAddr) -> Result<Value, CellError> {
+        Ok(self.resolve(sheet)?.value(addr))
+    }
+
+    fn visit_range(
+        &self,
+        sheet: &SheetRef,
+        range: Range,
+        f: &mut dyn FnMut(CellAddr, &Value) -> ControlFlow<()>,
+    ) -> Result<(), CellError> {
+        self.resolve(sheet)?.visit_range(range, f);
+        Ok(())
     }
 }
 
@@ -623,6 +640,116 @@ mod tests {
         assert_eq!(visited(&wb) - v0, 300);
         assert_eq!(wb.cell(s, a("C300")), Value::Int(306));
         assert_eq!(wb.obs.calc_topo_depth.get(), 300);
+    }
+
+    #[test]
+    fn a_leaf_edit_reads_each_range_a_tile_at_a_time() {
+        use dataspread_gridstore::CellStore;
+        let (mut wb, s) = recalc_shaped();
+        let reads = |wb: &Workbook| wb.sheet(s).store().stats().blocks_read();
+        // Ten column sums over 94 tiles each, the block sum's 4 tiles and
+        // B5's one cell: a cell-by-cell walk would read over 30 000 times.
+        let before = reads(&wb);
+        wb.set_value(s, a("A5"), Value::Int(1000)).unwrap();
+        let moved = reads(&wb) - before;
+        assert!((945..1000).contains(&moved), "blocks read: {moved}");
+    }
+
+    #[test]
+    fn range_reads_are_row_major_across_tile_columns() {
+        let mut wb = Workbook::new();
+        let s = wb.current_sheet();
+        // AH is in the second tile column; row 1 comes before row 2.
+        wb.set_value(s, a("AH1"), Value::Error(CellError::Div0))
+            .unwrap();
+        wb.set_value(s, a("A2"), Value::Error(CellError::Ref))
+            .unwrap();
+        wb.set_input(s, a("A10"), "=SUM(A1:AH2)").unwrap();
+        assert_eq!(wb.cell(s, a("A10")), Value::Error(CellError::Div0));
+        wb.set_input(s, a("A11"), "=COUNT(A1:AH2)").unwrap();
+        assert_eq!(wb.cell(s, a("A11")), Value::Error(CellError::Div0));
+        // CONCAT keeps text order across the AF|AG tile boundary.
+        for (cell, text) in [("AE4", "a"), ("AG4", "b"), ("AF5", "c"), ("AH5", "d")] {
+            wb.set_input(s, a(cell), text).unwrap();
+        }
+        wb.set_value(s, a("AF4"), Value::Int(1)).unwrap();
+        wb.set_input(s, a("A12"), "=CONCAT(AE4:AH5)").unwrap();
+        assert_eq!(wb.cell(s, a("A12")), Value::text("a1bcd"));
+    }
+
+    #[test]
+    fn vlookup_key_column_crosses_tile_rows() {
+        let mut wb = Workbook::new();
+        let s = wb.current_sheet();
+        // Keys in A30:A40 (tile rows 0 and 1) with gaps and a duplicate 7.
+        for (cell, v) in [
+            ("A30", "5"),
+            ("B30", "five"),
+            ("A33", "7"),
+            ("B33", "first"),
+            ("A35", "7"),
+            ("B35", "second"),
+            ("A38", "9"),
+            ("B38", "nine"),
+        ] {
+            wb.set_input(s, a(cell), v).unwrap();
+        }
+        let lookup = |wb: &mut Workbook, src: &str| {
+            wb.set_input(s, a("D1"), src).unwrap();
+            wb.cell(s, a("D1"))
+        };
+        assert_eq!(
+            lookup(&mut wb, "=VLOOKUP(7,A30:B40,2,FALSE)"),
+            Value::text("first")
+        );
+        assert_eq!(
+            lookup(&mut wb, "=VLOOKUP(9,A30:B40,2,FALSE)"),
+            Value::text("nine")
+        );
+        assert_eq!(
+            lookup(&mut wb, "=VLOOKUP(0,A30:B40,2,FALSE)"),
+            Value::Error(CellError::Na),
+            "empty keys never match"
+        );
+        assert_eq!(
+            lookup(&mut wb, "=VLOOKUP(8,A30:B40,2)"),
+            Value::text("second"),
+            "approximate: the last key at or below the needle"
+        );
+        wb.set_value(s, a("A36"), Value::Error(CellError::Num))
+            .unwrap();
+        assert_eq!(
+            lookup(&mut wb, "=VLOOKUP(9,A30:B40,2,FALSE)"),
+            Value::Error(CellError::Num),
+            "an error key before the match"
+        );
+        assert_eq!(
+            lookup(&mut wb, "=VLOOKUP(7,A30:B40,2,FALSE)"),
+            Value::text("first"),
+            "an error key after the match is never read"
+        );
+    }
+
+    #[test]
+    fn min_max_over_mixed_cells() {
+        let mut wb = Workbook::new();
+        let s = wb.current_sheet();
+        wb.set_value(s, a("A1"), Value::Int(3)).unwrap();
+        wb.set_value(s, a("B1"), Value::Float(2.5)).unwrap();
+        wb.set_value(s, a("C1"), Value::text("1")).unwrap();
+        wb.set_value(s, a("D1"), Value::Bool(true)).unwrap();
+        wb.set_value(s, a("AH1"), Value::Float(3.0)).unwrap();
+        let eval = |wb: &mut Workbook, src: &str| {
+            wb.set_input(s, a("A5"), src).unwrap();
+            wb.cell(s, a("A5"))
+        };
+        assert_eq!(eval(&mut wb, "=MIN(A1:AH1)"), Value::Float(2.5));
+        // Int 3 and Float 3.0 tie; the first in row-major order stays.
+        assert_eq!(eval(&mut wb, "=MAX(A1:AH1)"), Value::Int(3));
+        assert_eq!(eval(&mut wb, "=MAX(C1:D1)"), Value::Int(0), "no numbers");
+        assert_eq!(eval(&mut wb, "=MIN(A1:D1,-1)"), Value::Int(-1));
+        assert_eq!(eval(&mut wb, "=MAX(C1,D1,2)"), Value::Int(2));
+        assert_eq!(eval(&mut wb, "=SUM(A1:AH1)"), Value::Float(8.5));
     }
 
     #[test]

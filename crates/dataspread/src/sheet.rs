@@ -16,6 +16,7 @@
 //! computed value) so grid edits survive a crash between checkpoints.
 
 use std::collections::{BTreeMap, HashSet};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -91,13 +92,28 @@ impl std::fmt::Debug for Sheet {
 /// cross-sheet provider when it recomputes.
 struct LocalCells<'a>(&'a Sheet);
 
+impl LocalCells<'_> {
+    fn resolve(&self, sheet: &SheetRef) -> Result<&Sheet, CellError> {
+        match sheet {
+            SheetRef::Named(n) if !n.eq_ignore_ascii_case(&self.0.name) => Err(CellError::Ref),
+            _ => Ok(self.0),
+        }
+    }
+}
+
 impl CellProvider for LocalCells<'_> {
     fn cell_value(&self, sheet: &SheetRef, addr: CellAddr) -> Result<Value, CellError> {
-        match sheet {
-            SheetRef::Current => Ok(self.0.value(addr)),
-            SheetRef::Named(n) if n.eq_ignore_ascii_case(&self.0.name) => Ok(self.0.value(addr)),
-            SheetRef::Named(_) => Err(CellError::Ref),
-        }
+        Ok(self.resolve(sheet)?.value(addr))
+    }
+
+    fn visit_range(
+        &self,
+        sheet: &SheetRef,
+        range: Range,
+        f: &mut dyn FnMut(CellAddr, &Value) -> ControlFlow<()>,
+    ) -> Result<(), CellError> {
+        self.resolve(sheet)?.visit_range(range, f);
+        Ok(())
     }
 }
 
@@ -174,6 +190,16 @@ impl Sheet {
     /// formula cells read their cached computed value).
     pub fn value(&self, addr: CellAddr) -> Value {
         self.cells.get(addr).cloned().unwrap_or(Value::Empty)
+    }
+
+    /// Visit the non-empty displayed values of `range` row-major, a tile
+    /// at a time, until `f` breaks: how formulas read ranges.
+    pub(crate) fn visit_range(
+        &self,
+        range: Range,
+        f: &mut dyn FnMut(CellAddr, &Value) -> ControlFlow<()>,
+    ) {
+        let _ = self.cells.try_for_each_in_range(range, f);
     }
 
     /// Raw store write shared by the edit paths and the recompute path.

@@ -4,9 +4,9 @@
 //! optimization, never a semantics change.
 
 use dataspread::{SheetId, Workbook};
-use dataspread_formula::Formula;
+use dataspread_formula::{CellProvider, Formula};
 use dataspread_testkit as testkit;
-use dataspread_types::{CellAddr, Range, Value};
+use dataspread_types::{CellAddr, CellError, Range, SheetRef, Value};
 
 const ROWS: u32 = 8;
 const COLS: u32 = 4;
@@ -301,6 +301,148 @@ fn incremental_matches_full_after_every_edit() {
                 snapshot(&full, &ids),
                 "step {step} ({edit:?}): incremental ≠ full recompute"
             );
+        }
+    });
+}
+
+/// The engine's sheets seen only through `cell_value`: evaluating against
+/// this takes the provider trait's default, cell-by-cell `visit_range`.
+struct CellByCell<'a> {
+    wb: &'a Workbook,
+    home: SheetId,
+}
+
+impl CellProvider for CellByCell<'_> {
+    fn cell_value(&self, sheet: &SheetRef, addr: CellAddr) -> Result<Value, CellError> {
+        let id = match sheet {
+            SheetRef::Current => self.home,
+            SheetRef::Named(n) => self.wb.sheet_id(n).map_err(|_| CellError::Ref)?,
+        };
+        Ok(self.wb.sheet(id).value(addr))
+    }
+}
+
+/// Data grid extent for the range-visit property: wider and taller than a
+/// 32×32 tile, so ranges cross tile rows and tile columns.
+const GRID_ROWS: u32 = 70;
+const GRID_COLS: u32 = 40;
+
+/// A random data cell. `error_weight` 0 keeps a case error-free, so large
+/// ranges are not all poisoned.
+fn rand_grid_value(rng: &mut testkit::Rng, error_weight: u32) -> Value {
+    const FLOATS: [f64; 6] = [1e16, 1.0, -1e16, 0.1, 2.5, -0.0];
+    const TEXTS: [&str; 4] = ["a", "B", "7", "x y"];
+    const ERRORS: [CellError; 4] = [
+        CellError::Div0,
+        CellError::Ref,
+        CellError::Na,
+        CellError::Num,
+    ];
+    match rng.weighted(&[50, 20, 12, 8, 5, error_weight]) {
+        0 => Value::Empty,
+        1 => Value::Int(rng.below(20) as i64 - 5),
+        2 => Value::Float(FLOATS[rng.index(FLOATS.len())]),
+        3 => Value::text(TEXTS[rng.index(TEXTS.len())]),
+        4 => Value::Bool(rng.bool()),
+        _ => Value::Error(ERRORS[rng.index(ERRORS.len())]),
+    }
+}
+
+/// A random 2-D range over the data grid, sometimes qualified with a real,
+/// self-naming or missing sheet.
+fn rand_grid_range(rng: &mut testkit::Rng) -> String {
+    let mut corner = || CellAddr::new(rng.u32_in(0, GRID_ROWS), rng.u32_in(0, GRID_COLS));
+    let r = Range::new(corner(), corner());
+    let a1 = match r.to_a1() {
+        s if s.contains(':') => s,
+        s => format!("{s}:{s}"),
+    };
+    match rng.weighted(&[6, 3, 1, 1]) {
+        0 => a1,
+        1 => format!("Data!{a1}"),
+        2 => format!("Sheet1!{a1}"),
+        _ => format!("Missing!{a1}"),
+    }
+}
+
+fn rand_range_formula(rng: &mut testkit::Rng) -> String {
+    const AGGS: [&str; 5] = ["SUM", "AVG", "COUNT", "MIN", "MAX"];
+    match rng.weighted(&[6, 2, 2, 2]) {
+        0 => format!("={}({})", AGGS[rng.index(AGGS.len())], rand_grid_range(rng)),
+        1 => format!(
+            "={}({},{},{})",
+            AGGS[rng.index(AGGS.len())],
+            rand_grid_range(rng),
+            rng.below(10),
+            rand_grid_range(rng)
+        ),
+        2 => format!("=CONCAT(\"<\",{},\">\")", rand_grid_range(rng)),
+        _ => {
+            let needle = match rng.bool() {
+                true => (rng.below(20) as i64 - 5).to_string(),
+                false => "\"a\"".to_string(),
+            };
+            format!(
+                "=VLOOKUP({needle},{},{},{})",
+                rand_grid_range(rng),
+                rng.u32_in(1, 5),
+                if rng.bool() { "TRUE" } else { "FALSE" }
+            )
+        }
+    }
+}
+
+#[test]
+fn range_visit_matches_cell_by_cell_eval() {
+    // The engine reads formula ranges a tile at a time; that must be an
+    // optimization only. Every value the workbook shows is compared, bit
+    // for bit, with the formula evaluated one `cell_value` at a time.
+    fn same(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        }
+    }
+    testkit::cases(iters(), 0x7115_0A1C, |rng| {
+        let mut wb = Workbook::new();
+        let ids = [wb.current_sheet(), wb.add_sheet("Data").unwrap()];
+        let error_weight = rng.below(2) as u32;
+        for &s in &ids {
+            let grid: Vec<Vec<Value>> = (0..GRID_ROWS)
+                .map(|_| {
+                    (0..GRID_COLS)
+                        .map(|_| rand_grid_value(rng, error_weight))
+                        .collect()
+                })
+                .collect();
+            wb.set_region(s, CellAddr::new(0, 0), &grid).unwrap();
+        }
+        // Formulas live right of the grid, so none reads another.
+        let mut formulas: Vec<(SheetId, CellAddr, Formula)> = Vec::new();
+        for round in 0..3 {
+            for _ in 0..rng.usize_in(4, 10) {
+                let s = ids[rng.index(2)];
+                let addr = CellAddr::new(rng.u32_in(0, GRID_ROWS), GRID_COLS + 2 + round);
+                let src = rand_range_formula(rng);
+                wb.set_input(s, addr, &src).unwrap();
+                formulas.retain(|&(fs, fa, _)| (fs, fa) != (s, addr));
+                formulas.push((s, addr, Formula::parse(&src).unwrap()));
+            }
+            // Incremental passes re-read the ranges after data edits.
+            for _ in 0..rng.usize_in(0, 8) {
+                let addr = CellAddr::new(rng.u32_in(0, GRID_ROWS), rng.u32_in(0, GRID_COLS));
+                let v = rand_grid_value(rng, error_weight);
+                wb.set_value(ids[rng.index(2)], addr, v).unwrap();
+            }
+            for (s, addr, f) in &formulas {
+                let shown = wb.cell(*s, *addr);
+                let expected = f.eval(&CellByCell { wb: &wb, home: *s });
+                assert!(
+                    same(&shown, &expected),
+                    "{f} at {}: shown {shown:?}, cell by cell {expected:?}",
+                    addr.to_a1()
+                );
+            }
         }
     });
 }

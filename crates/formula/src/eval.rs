@@ -9,6 +9,8 @@
 //! operands produce integer results when the mathematical result is integral
 //! and representable (`4/2 = 2`, `5/2 = 2.5`, overflow widens to float).
 
+use std::ops::ControlFlow;
+
 use dataspread_types::{CellAddr, CellError, Range, SheetRef, Value};
 
 use crate::{BinOp, Expr, Func};
@@ -20,6 +22,49 @@ pub trait CellProvider {
     /// the formula lives on. `Err` when the referenced sheet does not exist
     /// (surfaced as `#REF!`).
     fn cell_value(&self, sheet: &SheetRef, addr: CellAddr) -> Result<Value, CellError>;
+
+    /// Visit the cells of `range` in **row-major order**, stopping as soon
+    /// as `f` breaks. An implementation may skip empty cells; every caller
+    /// treats an unvisited cell as [`Value::Empty`]. `Err` when the sheet
+    /// does not exist, exactly as [`CellProvider::cell_value`] reports it.
+    ///
+    /// The default probes `cell_value` once per cell. A provider backed by a
+    /// block store overrides it to walk the range a block at a time — every
+    /// range a formula reads (aggregates, `CONCAT`, `VLOOKUP`'s key column)
+    /// goes through here.
+    fn visit_range(
+        &self,
+        sheet: &SheetRef,
+        range: Range,
+        f: &mut dyn FnMut(CellAddr, &Value) -> ControlFlow<()>,
+    ) -> Result<(), CellError> {
+        for addr in range.iter_cells() {
+            if f(addr, &self.cell_value(sheet, addr)?).is_break() {
+                break;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Walk `range` until the first error value, row-major: that error (or the
+/// provider's own `#REF!`) is the range's error. `f` sees every other cell.
+/// Generic, so `f` inlines into the one closure the provider calls per cell.
+fn walk_until_error(
+    cells: &dyn CellProvider,
+    sheet: &SheetRef,
+    range: Range,
+    mut f: impl FnMut(CellAddr, &Value) -> ControlFlow<()>,
+) -> Result<(), CellError> {
+    let mut first_error = None;
+    cells.visit_range(sheet, range, &mut |addr, v| match v.as_error() {
+        Some(e) => {
+            first_error = Some(e);
+            ControlFlow::Break(())
+        }
+        None => f(addr, v),
+    })?;
+    first_error.map_or(Ok(()), Err)
 }
 
 /// The result of evaluating one argument expression: a scalar, or a range to
@@ -184,11 +229,20 @@ struct Acc {
     int_sum: i64,
     float_sum: f64,
     is_float: bool,
+    /// Keep `min`/`max` up to date: only `MIN`/`MAX` read them.
+    extremes: bool,
     min: Option<Value>,
     max: Option<Value>,
 }
 
 impl Acc {
+    fn new(f: Func) -> Acc {
+        Acc {
+            extremes: matches!(f, Func::Min | Func::Max),
+            ..Acc::default()
+        }
+    }
+
     fn push(&mut self, v: &Value) {
         self.count += 1;
         match v {
@@ -207,6 +261,9 @@ impl Acc {
                 }
                 self.float_sum += f;
             }
+        }
+        if !self.extremes {
+            return;
         }
         let replace_min = match &self.min {
             Some(m) => v.compare(m) == Some(std::cmp::Ordering::Less),
@@ -269,26 +326,29 @@ fn vlookup(args: &[Expr], cells: &dyn CellProvider) -> Value {
         None => true,
     };
     let result_col = range.start.col + (col - 1) as u32;
+    let keys = Range::from_bounds(
+        range.start.row,
+        range.start.col,
+        range.end.row,
+        range.start.col,
+    );
     let mut best: Option<u32> = None;
-    for row in range.start.row..=range.end.row {
-        let key = match cells.cell_value(&sheet, CellAddr::new(row, range.start.col)) {
-            Ok(v) => v,
-            Err(e) => return Value::Error(e),
-        };
-        if let Some(e) = key.as_error() {
-            return Value::Error(e);
-        }
+    let walked = walk_until_error(cells, &sheet, keys, |addr, key| {
         if key.is_empty() {
-            continue;
+            return ControlFlow::Continue(());
         }
         match key.compare(&needle) {
             Some(std::cmp::Ordering::Equal) => {
-                best = Some(row);
-                break;
+                best = Some(addr.row);
+                return ControlFlow::Break(());
             }
-            Some(std::cmp::Ordering::Less) if approximate => best = Some(row),
+            Some(std::cmp::Ordering::Less) if approximate => best = Some(addr.row),
             _ => {}
         }
+        ControlFlow::Continue(())
+    });
+    if let Err(e) = walked {
+        return Value::Error(e);
     }
     match best {
         Some(row) => match cells.cell_value(&sheet, CellAddr::new(row, result_col)) {
@@ -321,21 +381,13 @@ fn concat(args: &[Expr], cells: &dyn CellProvider) -> Value {
             },
         };
         if let Some((sheet, range)) = as_cells {
-            for addr in range.iter_cells() {
-                let v = match cells.cell_value(&sheet, addr) {
-                    Ok(v) => v,
-                    Err(e) => return Value::Error(e),
-                };
-                if let Some(e) = v.as_error() {
-                    return Value::Error(e);
-                }
-                if v.is_empty() {
-                    continue;
-                }
-                match v.coerce_text() {
-                    Ok(t) => out.push_str(&t),
-                    Err(e) => return Value::Error(e),
-                }
+            // Errors stop the walk, so every cell seen here renders as text.
+            let walked = walk_until_error(cells, &sheet, range, |_, v| {
+                out.push_str(&v.display_string());
+                ControlFlow::Continue(())
+            });
+            if let Err(e) = walked {
+                return Value::Error(e);
             }
         }
     }
@@ -373,7 +425,7 @@ fn call(f: Func, args: &[Expr], cells: &dyn CellProvider) -> Value {
     // literal/computed arguments participate with numeric coercion
     // (`=SUM(A1,"5",TRUE)` adds 6 on top of A1). Any error poisons the
     // whole aggregate.
-    let mut acc = Acc::default();
+    let mut acc = Acc::new(f);
     for arg in args {
         // A single-cell reference behaves exactly like a 1×1 range.
         let as_cells = match arg {
@@ -399,17 +451,14 @@ fn call(f: Func, args: &[Expr], cells: &dyn CellProvider) -> Value {
             },
         };
         if let Some((sheet, range)) = as_cells {
-            for addr in range.iter_cells() {
-                let v = match cells.cell_value(&sheet, addr) {
-                    Ok(v) => v,
-                    Err(e) => return Value::Error(e),
-                };
-                if let Some(e) = v.as_error() {
-                    return Value::Error(e);
-                }
+            let walked = walk_until_error(cells, &sheet, range, |_, v| {
                 if v.is_numeric() {
-                    acc.push(&v);
+                    acc.push(v);
                 }
+                ControlFlow::Continue(())
+            });
+            if let Err(e) = walked {
+                return Value::Error(e);
             }
         }
     }

@@ -76,8 +76,8 @@ impl StoreStats {
 ///
 /// Contract notes:
 /// * `for_each_in_range` visits cells in an *unspecified order* (each store
-///   uses its natural block order); [`CellStore::cells_in_range`] sorts
-///   row-major.
+///   uses its natural block order; [`TiledGrid`]'s is row-major);
+///   [`CellStore::cells_in_range`] sorts row-major.
 /// * Structural row/column edits shift cell contents like a spreadsheet
 ///   insert/delete does; cells inside a deleted band are dropped.
 pub trait CellStore<T> {

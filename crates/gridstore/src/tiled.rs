@@ -6,8 +6,14 @@
 //! lives elsewhere on the sheet. Tile extent is a measured trade-off
 //! (ablation #2 in DESIGN.md): small tiles waste less space on sparse sheets,
 //! large tiles scan faster on dense ones.
+//!
+//! Unlike the [`CellStore`] contract, which leaves range order unspecified,
+//! a `TiledGrid` range walk is **row-major**: it fetches one band of tiles
+//! (one tile row) at a time and crosses it row by row. Formula aggregates
+//! rely on that order for their first-error and float-summation semantics.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use dataspread_types::{CellAddr, Range};
 
@@ -120,7 +126,9 @@ impl<T> TiledGrid<T> {
             .collect();
         let mut moved: Vec<(CellAddr, T)> = Vec::new();
         for coord in &affected {
-            let tile = self.tiles.remove(coord).unwrap();
+            let Some(tile) = self.tiles.remove(coord) else {
+                continue;
+            };
             let base_row = coord.0 * self.cfg.tile_rows;
             let base_col = coord.1 * self.cfg.tile_cols;
             for (i, slot) in tile.slots.into_iter().enumerate() {
@@ -151,6 +159,72 @@ impl<T> TiledGrid<T> {
             self.cells += 1;
         }
         old
+    }
+
+    /// Visit every non-empty cell within `range` in row-major order,
+    /// stopping as soon as `f` breaks. Each tile row of the range is one
+    /// band: its tiles are fetched once (one `blocks_read` each, with the
+    /// intersection's slots added to `cells_scanned`), then walked row by
+    /// row across the band.
+    pub fn try_for_each_in_range(
+        &self,
+        range: Range,
+        f: &mut dyn FnMut(CellAddr, &T) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let TileConfig {
+            tile_rows,
+            tile_cols,
+        } = self.cfg;
+        let (tr0, tc0) = self.tile_coord(range.start);
+        let (tr1, tc1) = self.tile_coord(range.end);
+        // The range's columns inside allocated tile `(tr, tc)`: first column,
+        // its slot offset within a tile row, width, and the tile.
+        let span = |tr: u32, tc: u32| {
+            let tile = self.tiles.get(&(tr, tc))?;
+            let base_col = tc * tile_cols;
+            let c_lo = range.start.col.max(base_col);
+            let c_hi = range.end.col.min(base_col + tile_cols - 1);
+            Some((
+                c_lo,
+                (c_lo - base_col) as usize,
+                (c_hi - c_lo + 1) as usize,
+                tile,
+            ))
+        };
+        // A one-tile-wide range (a column aggregate) needs no band buffer.
+        let mut wide = Vec::new();
+        for tr in tr0..=tr1 {
+            let one;
+            let band = if tc0 == tc1 {
+                one = span(tr, tc0);
+                one.as_slice()
+            } else {
+                wide.clear();
+                wide.extend((tc0..=tc1).filter_map(|tc| span(tr, tc)));
+                &wide[..]
+            };
+            if band.is_empty() {
+                continue;
+            }
+            let base_row = tr * tile_rows;
+            let r_lo = range.start.row.max(base_row);
+            let r_hi = range.end.row.min(base_row + tile_rows - 1);
+            let width: usize = band.iter().map(|&(_, _, w, _)| w).sum();
+            self.stats.add_read(band.len() as u64);
+            self.stats
+                .add_scanned(width as u64 * u64::from(r_hi - r_lo + 1));
+            for r in r_lo..=r_hi {
+                let row = ((r - base_row) * tile_cols) as usize;
+                for &(c_lo, off, w, tile) in band {
+                    for (c, slot) in (c_lo..).zip(&tile.slots[row + off..row + off + w]) {
+                        if let Some(v) = slot {
+                            f(CellAddr::new(r, c), v)?;
+                        }
+                    }
+                }
+            }
+        }
+        ControlFlow::Continue(())
     }
 }
 
@@ -186,34 +260,12 @@ impl<T> CellStore<T> for TiledGrid<T> {
         self.cells
     }
 
+    /// Row-major; see [`TiledGrid::try_for_each_in_range`].
     fn for_each_in_range(&self, range: Range, f: &mut dyn FnMut(CellAddr, &T)) {
-        let (tr0, tc0) = self.tile_coord(range.start);
-        let (tr1, tc1) = self.tile_coord(range.end);
-        for tr in tr0..=tr1 {
-            for tc in tc0..=tc1 {
-                let Some(tile) = self.tiles.get(&(tr, tc)) else {
-                    continue;
-                };
-                self.stats.add_read(1);
-                let base_row = tr * self.cfg.tile_rows;
-                let base_col = tc * self.cfg.tile_cols;
-                // Visit only the slots inside the intersection of the tile
-                // and the requested range.
-                let r_lo = range.start.row.max(base_row) - base_row;
-                let r_hi = range.end.row.min(base_row + self.cfg.tile_rows - 1) - base_row;
-                let c_lo = range.start.col.max(base_col) - base_col;
-                let c_hi = range.end.col.min(base_col + self.cfg.tile_cols - 1) - base_col;
-                for r in r_lo..=r_hi {
-                    for c in c_lo..=c_hi {
-                        self.stats.add_scanned(1);
-                        let idx = (r * self.cfg.tile_cols + c) as usize;
-                        if let Some(v) = &tile.slots[idx] {
-                            f(CellAddr::new(base_row + r, base_col + c), v);
-                        }
-                    }
-                }
-            }
-        }
+        let _ = self.try_for_each_in_range(range, &mut |a, v| {
+            f(a, v);
+            ControlFlow::Continue(())
+        });
     }
 
     fn used_bounds(&self) -> Option<Range> {
@@ -327,6 +379,61 @@ mod tests {
         sorted.sort();
         assert_eq!(addrs, sorted);
         assert_eq!(addrs[0], CellAddr::new(0, 9));
+    }
+
+    #[test]
+    fn range_walk_is_row_major_across_tiles_and_can_stop() {
+        let mut g = small();
+        // Every third cell of a 14×14 square, except in tile (1, 1), which
+        // stays unallocated.
+        let mut tiles = std::collections::HashSet::new();
+        for r in 0..14u32 {
+            for c in 0..14u32 {
+                if (r * 14 + c) % 3 == 0 && (r / 4, c / 4) != (1, 1) {
+                    g.set(CellAddr::new(r, c), i64::from(r * 100 + c));
+                    tiles.insert((r / 4, c / 4));
+                }
+            }
+        }
+        // Rows 2..=9 and cols 1..=10 cross 3×3 tiles.
+        let range = Range::from_bounds(2, 1, 9, 10);
+        let (mut blocks, mut scanned) = (0, 0);
+        for tr in 0..=2u32 {
+            for tc in 0..=2u32 {
+                if tiles.contains(&(tr, tc)) {
+                    let rows = (9u32.min(tr * 4 + 3) - 2u32.max(tr * 4) + 1) as u64;
+                    let cols = (10u32.min(tc * 4 + 3) - 1u32.max(tc * 4) + 1) as u64;
+                    blocks += 1;
+                    scanned += rows * cols;
+                }
+            }
+        }
+        let sorted: Vec<CellAddr> = g.cells_in_range(range).iter().map(|(a, _)| *a).collect();
+        g.stats().reset();
+        let mut seen = Vec::new();
+        let flow = g.try_for_each_in_range(range, &mut |a, v| {
+            assert_eq!(*v, i64::from(a.row * 100 + a.col));
+            seen.push(a);
+            ControlFlow::Continue(())
+        });
+        assert_eq!(flow, ControlFlow::Continue(()));
+        assert_eq!(seen, sorted, "visit order is row-major");
+        assert!(seen.len() > 10);
+        assert_eq!(g.stats().blocks_read(), blocks, "one read per tile");
+        assert_eq!(g.stats().cells_scanned(), scanned, "every intersected slot");
+
+        // A break stops the walk at once.
+        let mut n = 0;
+        let flow = g.try_for_each_in_range(range, &mut |_, _| {
+            n += 1;
+            if n == 5 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(flow, ControlFlow::Break(()));
+        assert_eq!(n, 5);
     }
 
     #[test]
