@@ -11,7 +11,8 @@
 //! Three implementations of the same [`CellStore`] interface:
 //!
 //! * [`TiledGrid`] — cells grouped into fixed-extent tiles addressed directly
-//!   by coordinate arithmetic. The production path for sheets.
+//!   by coordinate arithmetic, each tile holding only its occupied cells.
+//!   The production path for sheets.
 //! * [`BlockGrid`] — the paper-faithful variant: cells grouped by *proximity*
 //!   into variable-extent blocks, indexed by an [`rtree::RTree`].
 //! * [`NaiveGrid`] — one hash entry per cell, no grouping: the baseline that

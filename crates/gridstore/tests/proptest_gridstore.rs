@@ -1,11 +1,14 @@
 //! Model-based property tests: all three cell stores must agree with a plain
 //! `HashMap` model under arbitrary edit sequences, including structural
-//! row/column edits and range queries.
+//! row/column edits and range queries. The tiled store's packed tiles also
+//! get a dense-churn property that checks `get` and the row-major range walk
+//! after every edit.
 //!
 //! Driven by `dataspread_testkit` (deterministic seeds) instead of an
 //! external property-testing crate — see substitution #4 in `DESIGN.md`.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 
 use dataspread_gridstore::block::BlockConfig;
 use dataspread_gridstore::{BlockGrid, CellStore, NaiveGrid, TileConfig, TiledGrid};
@@ -64,77 +67,83 @@ impl Model {
     }
 }
 
+/// Apply one op to the store and the model, checking the values the store
+/// returns on the way.
+fn apply<S: CellStore<i64>>(store: &mut S, model: &mut Model, op: &Op) {
+    match *op {
+        Op::Set(r, c, v) => {
+            let a = CellAddr::new(r, c);
+            let old_s = store.set(a, v);
+            let old_m = model.cells.insert(a, v);
+            assert_eq!(old_s, old_m, "set({a}) old value mismatch");
+        }
+        Op::Remove(r, c) => {
+            let a = CellAddr::new(r, c);
+            assert_eq!(store.remove(a), model.cells.remove(&a), "remove({a})");
+        }
+        Op::InsertRows(at, n) => {
+            store.insert_rows(at, n);
+            model.apply_shift(|a| {
+                if a.row >= at {
+                    Some(CellAddr::new(a.row + n, a.col))
+                } else {
+                    Some(a)
+                }
+            });
+        }
+        Op::DeleteRows(at, n) => {
+            store.delete_rows(at, n);
+            model.apply_shift(|a| {
+                if a.row >= at && a.row < at + n {
+                    None
+                } else if a.row >= at + n {
+                    Some(CellAddr::new(a.row - n, a.col))
+                } else {
+                    Some(a)
+                }
+            });
+        }
+        Op::InsertCols(at, n) => {
+            store.insert_cols(at, n);
+            model.apply_shift(|a| {
+                if a.col >= at {
+                    Some(CellAddr::new(a.row, a.col + n))
+                } else {
+                    Some(a)
+                }
+            });
+        }
+        Op::DeleteCols(at, n) => {
+            store.delete_cols(at, n);
+            model.apply_shift(|a| {
+                if a.col >= at && a.col < at + n {
+                    None
+                } else if a.col >= at + n {
+                    Some(CellAddr::new(a.row, a.col - n))
+                } else {
+                    Some(a)
+                }
+            });
+        }
+        Op::QueryRange(r0, c0, r1, c1) => {
+            let q = Range::new(CellAddr::new(r0, c0), CellAddr::new(r1, c1));
+            let got = store.cells_in_range(q);
+            let mut expect: Vec<(CellAddr, i64)> = model
+                .cells
+                .iter()
+                .filter(|(a, _)| q.contains(**a))
+                .map(|(a, v)| (*a, *v))
+                .collect();
+            expect.sort_by_key(|(a, _)| *a);
+            assert_eq!(got, expect, "range query {q} mismatch");
+        }
+    }
+}
+
 fn run_store<S: CellStore<i64>>(mut store: S, ops: &[Op]) {
     let mut model = Model::new();
     for op in ops {
-        match *op {
-            Op::Set(r, c, v) => {
-                let a = CellAddr::new(r, c);
-                let old_s = store.set(a, v);
-                let old_m = model.cells.insert(a, v);
-                assert_eq!(old_s, old_m, "set({a}) old value mismatch");
-            }
-            Op::Remove(r, c) => {
-                let a = CellAddr::new(r, c);
-                assert_eq!(store.remove(a), model.cells.remove(&a), "remove({a})");
-            }
-            Op::InsertRows(at, n) => {
-                store.insert_rows(at, n);
-                model.apply_shift(|a| {
-                    if a.row >= at {
-                        Some(CellAddr::new(a.row + n, a.col))
-                    } else {
-                        Some(a)
-                    }
-                });
-            }
-            Op::DeleteRows(at, n) => {
-                store.delete_rows(at, n);
-                model.apply_shift(|a| {
-                    if a.row >= at && a.row < at + n {
-                        None
-                    } else if a.row >= at + n {
-                        Some(CellAddr::new(a.row - n, a.col))
-                    } else {
-                        Some(a)
-                    }
-                });
-            }
-            Op::InsertCols(at, n) => {
-                store.insert_cols(at, n);
-                model.apply_shift(|a| {
-                    if a.col >= at {
-                        Some(CellAddr::new(a.row, a.col + n))
-                    } else {
-                        Some(a)
-                    }
-                });
-            }
-            Op::DeleteCols(at, n) => {
-                store.delete_cols(at, n);
-                model.apply_shift(|a| {
-                    if a.col >= at && a.col < at + n {
-                        None
-                    } else if a.col >= at + n {
-                        Some(CellAddr::new(a.row, a.col - n))
-                    } else {
-                        Some(a)
-                    }
-                });
-            }
-            Op::QueryRange(r0, c0, r1, c1) => {
-                let q = Range::new(CellAddr::new(r0, c0), CellAddr::new(r1, c1));
-                let got = store.cells_in_range(q);
-                let mut expect: Vec<(CellAddr, i64)> = model
-                    .cells
-                    .iter()
-                    .filter(|(a, _)| q.contains(**a))
-                    .map(|(a, v)| (*a, *v))
-                    .collect();
-                expect.sort_by_key(|(a, _)| *a);
-                assert_eq!(got, expect, "range query {q} mismatch");
-            }
-        }
+        apply(&mut store, &mut model, op);
         assert_eq!(
             store.cell_count(),
             model.cells.len(),
@@ -206,5 +215,122 @@ fn block_small_capacity_matches_model() {
             }),
             &ops,
         );
+    });
+}
+
+/// Cases for the dense-churn property: `DSP_STRESS_ITERS` (default 48), the
+/// knob CI's stress job raises.
+fn churn_cases() -> u64 {
+    std::env::var("DSP_STRESS_ITERS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(48)
+}
+
+/// One edit inside a 30 × 30 corner. While `filling`, most edits write
+/// new cells into the 10 × 14 `hot` window at its origin, so the few tiles
+/// under it fill up; otherwise most remove held cells (`held` is the model
+/// in row-major order), so tiles empty and are dropped. Overwrites, misses
+/// and structural shifts ride along in both phases.
+fn churn_op(rng: &mut Rng, held: &[(CellAddr, i64)], filling: bool, hot: CellAddr) -> Op {
+    let (at, n) = (rng.u32_in(0, 30), rng.u32_in(1, 4));
+    let weights = if filling {
+        [48, 3, 1, 1, 1, 1, 1, 1]
+    } else {
+        [3, 3, 48, 1, 1, 1, 1, 1]
+    };
+    match rng.weighted(&weights) {
+        w @ (1 | 2) if !held.is_empty() => {
+            let a = held[rng.index(held.len())].0;
+            if w == 1 {
+                Op::Set(a.row, a.col, rng.i64())
+            } else {
+                Op::Remove(a.row, a.col)
+            }
+        }
+        3 => Op::Remove(rng.u32_in(0, 30), rng.u32_in(0, 30)),
+        4 => Op::InsertRows(at, n),
+        5 => Op::DeleteRows(at, n),
+        6 => Op::InsertCols(at, n),
+        7 => Op::DeleteCols(at, n),
+        _ => Op::Set(
+            hot.row + rng.u32_in(0, 10),
+            hot.col + rng.u32_in(0, 14),
+            rng.i64(),
+        ),
+    }
+}
+
+/// The store against the model (`held`, row-major) after one edit: `get` at
+/// every held cell and at a few empty ones, then a random range walk, whole
+/// and broken off part-way.
+fn check_churn(store: &TiledGrid<i64>, held: &[(CellAddr, i64)], rng: &mut Rng) {
+    assert_eq!(store.cell_count(), held.len());
+    for (a, v) in held {
+        assert_eq!(store.get(*a), Some(v), "get({a})");
+    }
+    for _ in 0..8 {
+        let a = CellAddr::new(rng.u32_in(0, 40), rng.u32_in(0, 40));
+        if held.binary_search_by_key(&a, |&(a, _)| a).is_err() {
+            assert_eq!(store.get(a), None, "get({a}) of an empty cell");
+        }
+    }
+    let corner = |rng: &mut Rng| CellAddr::new(rng.u32_in(0, 40), rng.u32_in(0, 40));
+    let q = Range::new(corner(rng), corner(rng));
+    let expect: Vec<(CellAddr, i64)> = held
+        .iter()
+        .copied()
+        .filter(|(a, _)| q.contains(*a))
+        .collect();
+    let walk = |stop: usize| {
+        let mut seen = Vec::new();
+        let flow = store.try_for_each_in_range(q, &mut |a, v| {
+            seen.push((a, *v));
+            if seen.len() == stop {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        (flow, seen)
+    };
+    assert_eq!(
+        walk(usize::MAX),
+        (ControlFlow::Continue(()), expect.clone()),
+        "walk of {q}"
+    );
+    if !expect.is_empty() {
+        let stop = rng.usize_in(1, expect.len() + 1);
+        assert_eq!(
+            walk(stop),
+            (ControlFlow::Break(()), expect[..stop].to_vec()),
+            "walk of {q} stopped after {stop}"
+        );
+    }
+}
+
+#[test]
+fn tiled_dense_churn_matches_model() {
+    // 7 × 11 = 77 slots: two bitmap words, and rows straddle the boundary
+    // between them.
+    cases(churn_cases(), 0x621206, |rng| {
+        let mut store = TiledGrid::new(TileConfig {
+            tile_rows: 7,
+            tile_cols: 11,
+        });
+        let mut model = Model::new();
+        let mut held = Vec::new();
+        let mut hot = CellAddr::new(0, 0);
+        for step in 0..400 {
+            // Phases of 100 edits: fill a fresh hot window, then drain.
+            if step % 200 == 0 {
+                hot = CellAddr::new(rng.u32_in(0, 21), rng.u32_in(0, 17));
+            }
+            let op = churn_op(rng, &held, step % 200 < 100, hot);
+            apply(&mut store, &mut model, &op);
+            held = model.cells.iter().map(|(a, v)| (*a, *v)).collect();
+            held.sort_unstable();
+            check_churn(&store, &held, rng);
+        }
     });
 }
