@@ -12,8 +12,8 @@
 //!      interface side                      relational side
 //!   ┌───────────────┴───────────┐   ┌──────┴───────────────────┐
 //!   │ Sheet: CellStore (grid-   │   │ Catalog/Table (relstore) │
-//!   │ store) + RowMapping (pos- │   │ ordered by CountedBtree  │
-//!   │ index) for stable rows    │   │ (posindex)               │
+//!   │ store), cells addressed   │   │ ordered by CountedBtree  │
+//!   │ by position               │   │ (posindex)               │
 //!   └───────────────────────────┘   └──────────────────────────┘
 //!                 shared vocabulary: dataspread_types
 //!                 SQL front end:     dataspread_sql
@@ -22,7 +22,8 @@
 //! What the engine adds:
 //!
 //! * [`Workbook`] / [`Sheet`] — sheets hold schemaless interface data in a
-//!   tiled cell store, with stable row identity through structural edits.
+//!   tiled cell store, addressed by position; structural edits shift cells
+//!   and rewrite formula references.
 //! * Formulas — `=SUM(A1:B2)` cells ([`Workbook::set_input`]) parsed by
 //!   `dataspread_formula`, tracked in a cross-sheet dependency graph, and
 //!   recomputed *incrementally* in topological order ([`crate::calc`]);

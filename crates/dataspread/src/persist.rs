@@ -7,7 +7,7 @@
 //! (tables, schemas, pages) is checkpointed by
 //! [`dataspread_relstore::snapshot`]; this module contributes the
 //! engine-level metadata riding in the snapshot's `extra_meta` stream:
-//! every sheet's cells and stable row keys, the current-sheet pointer, the
+//! every sheet's cells and formulas, the current-sheet pointer, the
 //! table-binding registry, and the optimizer statistics.
 //!
 //! Durability boundaries after [`Workbook::save`] attaches the store:
@@ -551,6 +551,116 @@ mod tests {
             assert_eq!(sheet.formula_count(), 1, "{name}");
             assert_eq!(sheet.formula_text(formula_at), Some(src), "{name}");
         }
+    }
+
+    /// Sheets once kept a stable key for every display row, checkpointed as
+    /// a key watermark and the key list. Both fields are reserved now: a
+    /// version-4 stream carrying watermark 7 and keys 1..=6 decodes with
+    /// identical cells and formula sources, and re-encodes with a zero
+    /// watermark and an empty key list.
+    #[test]
+    fn registered_row_keys_still_decode() {
+        let (formula_at, src) = (CellAddr::new(0, 1), "=A1*2");
+        let cells = [
+            (CellAddr::new(0, 0), Value::Int(21)),
+            (formula_at, Value::Int(42)), // the formula's cached value
+            (CellAddr::new(5, 0), Value::text("far")),
+        ];
+        let stream = |watermark: u64, keys: &[u64]| {
+            let mut buf = vec![4u8, 0]; // version 4; reserved
+            put_u32(&mut buf, 0); // current sheet
+            put_u64(&mut buf, 0); // reserved
+            put_u32(&mut buf, 1); // one sheet
+            put_str(&mut buf, "Keyed");
+            buf.push(0); // reserved (store kind)
+            put_u64(&mut buf, watermark);
+            put_u64(&mut buf, keys.len() as u64);
+            for &k in keys {
+                put_u64(&mut buf, k);
+            }
+            put_u64(&mut buf, cells.len() as u64);
+            for (a, v) in &cells {
+                put_u32(&mut buf, a.row);
+                put_u32(&mut buf, a.col);
+                encode_value(&mut buf, v);
+            }
+            put_u64(&mut buf, 1); // one formula
+            put_u32(&mut buf, formula_at.row);
+            put_u32(&mut buf, formula_at.col);
+            put_str(&mut buf, src);
+            put_u64(&mut buf, 1); // binding id watermark
+            put_u32(&mut buf, 0); // no bindings
+            put_u32(&mut buf, 0); // no statistics
+            buf
+        };
+        let wb = decode_workbook_meta(&stream(7, &[1, 2, 3, 4, 5, 6]), Catalog::new()).unwrap();
+        let sheet = wb.sheet(wb.current_sheet());
+        assert_eq!(sheet.cell_count(), cells.len());
+        for (a, v) in &cells {
+            assert_eq!(&sheet.value(*a), v);
+        }
+        assert_eq!(sheet.formula_count(), 1);
+        assert_eq!(sheet.formula_text(formula_at), Some(src));
+        assert_eq!(encode_workbook_meta(&wb), stream(0, &[]));
+    }
+
+    /// Structural edits that would leave the address space are refused on a
+    /// saved workbook before anything reaches the WAL: every cell and
+    /// formula stays put, and a reopen shows the same grid. Edits that end
+    /// exactly at the edge still succeed, live and on replay.
+    #[test]
+    fn out_of_range_structural_edits_are_refused_unlogged() {
+        use dataspread_types::addr::{MAX_COL, MAX_ROW};
+        let dir = std::env::temp_dir().join(format!("dsp-span-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (a11, b1) = (CellAddr::new(10, 0), CellAddr::new(0, 1));
+        let mut wb = Workbook::new();
+        let s = wb.current_sheet();
+        wb.set_input(s, a11, "x").unwrap();
+        wb.set_input(s, b1, "=A11").unwrap();
+        wb.save(&dir).unwrap();
+        let wal_len = || {
+            std::fs::metadata(dir.join(snapshot::WAL_FILE))
+                .unwrap()
+                .len()
+        };
+        let grid = |wb: &mut Workbook| {
+            let bounds = wb.sheet(s).used_bounds();
+            let text = wb.formula_text(s, b1).map(str::to_string);
+            (bounds, wb.cell(s, a11), wb.cell(s, b1), text)
+        };
+        let (before, logged) = (grid(&mut wb), wal_len());
+        let refused = [
+            wb.delete_rows(s, 5, u32::MAX),
+            wb.insert_rows(s, 1, MAX_ROW - 9),
+            wb.insert_cols(s, 0, u32::MAX),
+            wb.delete_cols(s, 1, MAX_COL + 1),
+        ];
+        for r in refused {
+            assert!(matches!(r, Err(DsError::Interface(_))), "{r:?}");
+        }
+        assert_eq!(grid(&mut wb), before);
+        assert_eq!(wal_len(), logged, "nothing logged");
+        drop(wb);
+        let mut wb = Workbook::open(&dir).unwrap();
+        assert_eq!(grid(&mut wb), before);
+
+        // B1 moves onto the last column; the deleted span ends at the last
+        // row. Both replay on reopen.
+        wb.insert_cols(s, 1, MAX_COL - 1).unwrap();
+        wb.delete_rows(s, 11, MAX_ROW - 10).unwrap();
+        drop(wb);
+        let mut wb = Workbook::open(&dir).unwrap();
+        let moved = CellAddr::new(0, MAX_COL);
+        assert_eq!(wb.formula_text(s, moved), Some("=A11"));
+        assert_eq!(wb.cell(s, moved), Value::text("x"));
+        // A11 moves onto the last row.
+        wb.insert_rows(s, 1, MAX_ROW - 10).unwrap();
+        assert_eq!(wb.cell(s, CellAddr::new(MAX_ROW, 0)), Value::text("x"));
+        assert_eq!(wb.formula_text(s, moved), Some("=A1073741824"));
+        assert_eq!(wb.cell(s, moved), Value::text("x"));
+        drop(wb);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A crafted sheet count must fail as a truncated stream, not abort

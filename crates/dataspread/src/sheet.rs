@@ -1,10 +1,9 @@
-//! A sheet: schemaless interface data, formulas, and stable row identity.
+//! A sheet: schemaless interface data and formulas.
 //!
 //! Paper §3 (Interface Manager / Interface Storage): the sheet holds the
 //! *interface data* — cells addressed by position, no schema — in a
-//! [`TiledGrid`], and maintains a positional mapping from display rows to
-//! stable row keys so edits with "locational context" can be translated into
-//! keyed operations (and back).
+//! [`TiledGrid`]. The tuple key ↔ location mapping lives with each table
+//! (its positional index); the sheet itself addresses cells by position only.
 //!
 //! Formula cells keep their parsed [`Formula`] here, next to the *cached*
 //! display value in the cell store — so every read path (`RANGEVALUE`,
@@ -22,8 +21,8 @@ use std::sync::Arc;
 
 use dataspread_formula::{CellProvider, Formula, GridOp};
 use dataspread_gridstore::{CellStore, TiledGrid};
-use dataspread_posindex::{RowKey, RowMapping};
 use dataspread_relstore::wal::{GridEditKind, SheetCellContent, WalOp, WalWriter};
+use dataspread_types::addr::{MAX_COL, MAX_ROW};
 use dataspread_types::{CellAddr, CellError, DsError, DsResult, Range, SheetRef, Value};
 
 /// A formula cell: the original source text plus its parsed form. `ast` is
@@ -62,10 +61,6 @@ pub struct Sheet {
     /// Formula cells, keyed by position (row-major order for deterministic
     /// snapshots). The cell store holds their cached values.
     formulas: BTreeMap<CellAddr, CellFormula>,
-    /// Display row → stable row key. Rows are registered lazily as they are
-    /// touched; keys survive structural inserts/deletes above them.
-    rows: RowMapping,
-    next_row_key: RowKey,
     /// Redo log for grid edits when the owning workbook is durable.
     wal: Option<Arc<WalWriter>>,
     /// Edits not yet folded into the workbook's dependency graph.
@@ -82,7 +77,6 @@ impl std::fmt::Debug for Sheet {
             .field("name", &self.name)
             .field("cells", &self.cells.cell_count())
             .field("formulas", &self.formulas.len())
-            .field("rows", &self.rows.row_count())
             .finish()
     }
 }
@@ -123,8 +117,6 @@ impl Sheet {
             name: name.into(),
             cells: TiledGrid::default(),
             formulas: BTreeMap::new(),
-            rows: RowMapping::new(),
-            next_row_key: 1,
             wal: None,
             pending: PendingEdits::default(),
             // Start at 1: snapshot-decoded formulas carry stamp 0 and are
@@ -369,42 +361,6 @@ impl Sheet {
         self.cells.used_bounds()
     }
 
-    // ---- stable row identity --------------------------------------------
-
-    /// Number of rows currently registered in the row mapping.
-    pub fn registered_rows(&self) -> usize {
-        self.rows.row_count()
-    }
-
-    fn ensure_rows(&mut self, count: usize) {
-        while self.rows.row_count() < count {
-            let key = self.next_row_key;
-            self.next_row_key += 1;
-            self.rows.append(key).expect("fresh keys are unique");
-        }
-    }
-
-    /// Stable key of display row `row`, registering it (and any rows above)
-    /// on first touch.
-    pub fn row_key(&mut self, row: u32) -> RowKey {
-        self.ensure_rows(row as usize + 1);
-        self.rows
-            .key_for_row(row as usize)
-            .expect("row just ensured")
-    }
-
-    /// Current display position of a stable row key (back-end → front-end
-    /// translation), if the row still exists.
-    pub fn row_of_key(&self, key: RowKey) -> Option<u32> {
-        self.rows.row_for_key(key).map(|r| r as u32)
-    }
-
-    /// Stable keys for the display window `[first, first+height)`.
-    pub fn row_keys_in_window(&mut self, first: u32, height: u32) -> Vec<RowKey> {
-        self.ensure_rows(first as usize + height as usize);
-        self.rows.keys_in_window(first as usize, height as usize)
-    }
-
     // ---- structural edits -------------------------------------------------
 
     /// Shift the formula cells themselves and every *self*-reference inside
@@ -453,65 +409,74 @@ impl Sheet {
         }
     }
 
-    /// Insert `count` blank rows at `at`: cells shift down, stable keys of
-    /// existing rows are preserved, fresh keys appear for the new rows.
-    /// Formulas shift with their cells; self-references are rewritten.
+    /// Insert `count` blank rows at `at`: cells shift down. Formulas shift
+    /// with their cells; self-references are rewritten.
     pub fn insert_rows(&mut self, at: u32, count: u32) -> DsResult<()> {
-        if count == 0 {
-            return Ok(());
-        }
-        self.log_grid(GridEditKind::InsertRows, at, count)?;
-        self.cells.insert_rows(at, count);
-        self.ensure_rows(at as usize);
-        for i in 0..count {
-            let key = self.next_row_key;
-            self.next_row_key += 1;
-            // `ensure_rows(at)` guarantees the position is in bounds, so every
-            // inserted display row gets a fresh key.
-            self.rows.insert_row((at + i) as usize, key)?;
-        }
-        self.shift_formulas(GridOp::InsertRows { at, count });
-        Ok(())
+        self.edit_grid(GridOp::InsertRows { at, count })
     }
 
-    /// Delete `count` rows at `at`: their cells vanish, rows below shift up,
-    /// their stable keys are retired. Self-references into the deleted span
-    /// become `#REF!`.
+    /// Delete `count` rows at `at`: their cells vanish, rows below shift up.
+    /// Self-references into the deleted span become `#REF!`.
     pub fn delete_rows(&mut self, at: u32, count: u32) -> DsResult<()> {
-        if count == 0 {
-            return Ok(());
-        }
-        self.log_grid(GridEditKind::DeleteRows, at, count)?;
-        self.cells.delete_rows(at, count);
-        for _ in 0..count {
-            if (at as usize) < self.rows.row_count() {
-                self.rows.remove_row(at as usize)?;
-            }
-        }
-        self.shift_formulas(GridOp::DeleteRows { at, count });
-        Ok(())
+        self.edit_grid(GridOp::DeleteRows { at, count })
     }
 
     /// Insert `count` blank columns at `at`.
     pub fn insert_cols(&mut self, at: u32, count: u32) -> DsResult<()> {
-        if count == 0 {
-            return Ok(());
-        }
-        self.log_grid(GridEditKind::InsertCols, at, count)?;
-        self.cells.insert_cols(at, count);
-        self.shift_formulas(GridOp::InsertCols { at, count });
-        Ok(())
+        self.edit_grid(GridOp::InsertCols { at, count })
     }
 
     /// Delete columns `[at, at + count)`.
     pub fn delete_cols(&mut self, at: u32, count: u32) -> DsResult<()> {
+        self.edit_grid(GridOp::DeleteCols { at, count })
+    }
+
+    /// The one path of the four structural edits. An edit that would leave
+    /// the address space — a span `[at, at + count)` past the last row or
+    /// column, or an insert that would push a used cell past it — is
+    /// rejected before it is logged, so lone sheets, the workbook and WAL
+    /// replay share the rule.
+    fn edit_grid(&mut self, op: GridOp) -> DsResult<()> {
+        use GridEditKind as K;
+        let (kind, at, count, rows, insert) = match op {
+            GridOp::InsertRows { at, count } => (K::InsertRows, at, count, true, true),
+            GridOp::DeleteRows { at, count } => (K::DeleteRows, at, count, true, false),
+            GridOp::InsertCols { at, count } => (K::InsertCols, at, count, false, true),
+            GridOp::DeleteCols { at, count } => (K::DeleteCols, at, count, false, false),
+        };
         if count == 0 {
             return Ok(());
         }
-        self.log_grid(GridEditKind::DeleteCols, at, count)?;
-        self.cells.delete_cols(at, count);
-        self.shift_formulas(GridOp::DeleteCols { at, count });
+        let max = u64::from(if rows { MAX_ROW } else { MAX_COL });
+        let span_fits = u64::from(at) + u64::from(count) <= max + 1;
+        let shift_fits = || {
+            self.last_used(rows)
+                .is_none_or(|last| u64::from(last) + u64::from(count) <= max)
+        };
+        if !span_fits || (insert && !shift_fits()) {
+            return Err(DsError::Interface(format!(
+                "{op:?} reaches past the last {}",
+                if rows { "row" } else { "column" }
+            )));
+        }
+        self.log_grid(kind, at, count)?;
+        match op {
+            GridOp::InsertRows { .. } => self.cells.insert_rows(at, count),
+            GridOp::DeleteRows { .. } => self.cells.delete_rows(at, count),
+            GridOp::InsertCols { .. } => self.cells.insert_cols(at, count),
+            GridOp::DeleteCols { .. } => self.cells.delete_cols(at, count),
+        }
+        self.shift_formulas(op);
         Ok(())
+    }
+
+    /// The last row (or column) holding a value or a formula. A formula
+    /// whose value is empty has no cell in the store, so both are read.
+    fn last_used(&self, rows: bool) -> Option<u32> {
+        let axis = |a: CellAddr| if rows { a.row } else { a.col };
+        let cells = self.cells.used_bounds().map(|b| axis(b.end));
+        let formulas = self.formulas.keys().map(|&a| axis(a)).max();
+        cells.max(formulas)
     }
 
     /// Parse-and-validate helper used by the workbook's A1 entry points.
@@ -522,21 +487,18 @@ impl Sheet {
 
     // ---- persistence (checkpoint format; see docs/STORAGE.md) -------------
 
-    /// Serialize the sheet into the workbook snapshot stream: name, a
-    /// reserved byte, the stable row keys in display order, every non-empty
-    /// cell (formula cells store their cached value), and every formula
-    /// source.
+    /// Serialize the sheet into the workbook snapshot stream: name, the
+    /// reserved fields, every non-empty cell (formula cells store their
+    /// cached value), and every formula source.
     pub(crate) fn encode(&self, buf: &mut Vec<u8>) {
         use dataspread_relstore::codec::{encode_value, put_str, put_u32, put_u64};
         put_str(buf, &self.name);
         // Reserved (was the sheet's store kind): written as zero.
         buf.push(0);
-        put_u64(buf, self.next_row_key);
-        let keys = self.rows.keys();
-        put_u64(buf, keys.len() as u64);
-        for k in keys {
-            put_u64(buf, k);
-        }
+        // Reserved (was the row-key watermark and the stable row-key
+        // list): written as a zero watermark and an empty list.
+        put_u64(buf, 0);
+        put_u64(buf, 0);
         let mut cells: Vec<(CellAddr, Value)> = Vec::with_capacity(self.cells.cell_count());
         if let Some(bounds) = self.cells.used_bounds() {
             self.cells
@@ -571,15 +533,16 @@ impl Sheet {
         let name = cur.str()?;
         // Reserved (was the sheet's store kind): ignored.
         cur.u8()?;
-        let next_row_key = cur.u64()?;
-        let nkeys = cur.u64()? as usize;
-        let mut keys = Vec::with_capacity(nkeys.min(cur.remaining()));
-        for _ in 0..nkeys {
-            keys.push(cur.u64()?);
-        }
+        // Reserved (was the row-key watermark and `n_keys × u64` stable row
+        // keys): read and discarded.
+        cur.u64()?;
+        let nkeys = cur.u64()?;
+        let key_bytes = nkeys
+            .checked_mul(8)
+            .and_then(|n| usize::try_from(n).ok())
+            .ok_or_else(|| DsError::Storage(format!("sheet `{name}`: {nkeys} row keys")))?;
+        cur.bytes(key_bytes)?;
         let mut sheet = Sheet::new(name);
-        sheet.rows = RowMapping::from_keys(keys)?;
-        sheet.next_row_key = next_row_key;
         let ncells = cur.u64()? as usize;
         for _ in 0..ncells {
             let row = cur.u32()?;
@@ -668,27 +631,17 @@ mod tests {
     }
 
     #[test]
-    fn row_keys_survive_structural_edits() {
-        let mut s = Sheet::new("S");
-        s.set_input(a("A1"), "top").unwrap();
-        s.set_input(a("A5"), "bottom").unwrap();
-        let k1 = s.row_key(0);
-        let k5 = s.row_key(4);
-        s.insert_rows(2, 3).unwrap();
-        assert_eq!(s.row_of_key(k1), Some(0), "row above the edit is untouched");
-        assert_eq!(s.row_of_key(k5), Some(7), "row below shifted by 3");
-        assert_eq!(s.value(a("A8")), Value::text("bottom"));
-        s.delete_rows(0, 1).unwrap();
-        assert_eq!(s.row_of_key(k1), None, "deleted row key retired");
-        assert_eq!(s.row_of_key(k5), Some(6));
-    }
-
-    #[test]
     fn formulas_shift_with_structural_edits() {
         let mut s = Sheet::new("S");
         s.set_input(a("A1"), "10").unwrap();
         s.set_input(a("B5"), "=A1*2").unwrap();
+        s.set_input(a("A5"), "bottom").unwrap();
         s.insert_rows(2, 3).unwrap();
+        assert_eq!(
+            s.value(a("A8")),
+            Value::text("bottom"),
+            "cell below shifted"
+        );
         // The formula cell moved from B5 to B8; its ref to A1 is unchanged.
         assert_eq!(s.formula_text(a("B5")), None);
         assert_eq!(s.formula_text(a("B8")), Some("=A1*2"));
@@ -707,7 +660,6 @@ mod tests {
         s.set_input(a("C7"), "3.5").unwrap();
         s.set_input(a("B2"), "#REF!").unwrap();
         s.set_input(a("D1"), "=C7+1").unwrap();
-        let k0 = s.row_key(0);
         s.insert_rows(1, 2).unwrap();
         let mut buf = Vec::new();
         s.encode(&mut buf);
@@ -724,8 +676,6 @@ mod tests {
         assert_eq!(back.formula_text(a("D1")), Some("=(C9+1)"));
         assert_eq!(back.value(a("D1")), Value::Float(4.5));
         assert_eq!(back.cell_count(), s.cell_count());
-        assert_eq!(back.row_of_key(k0), s.row_of_key(k0));
-        assert_eq!(back.registered_rows(), s.registered_rows());
     }
 
     #[test]
@@ -741,15 +691,31 @@ mod tests {
         assert!(matches!(err, DsError::Storage(_)), "{err:?}");
     }
 
+    /// A row insert costs the sheet nothing per row above it: a one-cell
+    /// sheet encodes to the same length whether the insert lands at row 10
+    /// or at row 1 000 000.
     #[test]
-    fn window_keys_are_stable_and_distinct() {
+    fn insert_depth_does_not_grow_the_encoding() {
+        let encoded_len = |at| {
+            let mut s = Sheet::new("S");
+            s.set_input(a("A1"), "x").unwrap();
+            s.insert_rows(at, 1).unwrap();
+            let mut buf = Vec::new();
+            s.encode(&mut buf);
+            buf.len()
+        };
+        assert_eq!(encoded_len(10), encoded_len(1_000_000));
+    }
+
+    /// A formula showing an empty value holds no cell in the store, yet an
+    /// insert must not push it off the sheet either.
+    #[test]
+    fn insert_cannot_push_an_empty_formula_off_the_sheet() {
         let mut s = Sheet::new("S");
-        let w1 = s.row_keys_in_window(10, 5);
-        let w2 = s.row_keys_in_window(10, 5);
-        assert_eq!(w1, w2);
-        let mut sorted = w1.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), 5);
+        let last = CellAddr::new(MAX_ROW, 0);
+        s.set_formula(last, "=C1").unwrap();
+        assert_eq!(s.cell_count(), 0);
+        assert!(matches!(s.insert_rows(0, 1), Err(DsError::Interface(_))));
+        assert_eq!(s.formula_text(last), Some("=C1"));
     }
 }

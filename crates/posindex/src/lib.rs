@@ -17,21 +17,15 @@
 //! * [`DenseIndex`] — the stock baseline: a dense row-number assignment where
 //!   positional insert/delete renumbers the suffix. Used as the comparison
 //!   arm in experiment `C3` and as the *model* in property tests.
-//! * [`RowMapping`] — the façade the interface manager uses to translate
-//!   between grid rows and tuple keys (paper §3, "interface manager maintains
-//!   a mapping between a tuple's key attribute and its corresponding
-//!   location").
 //!
 //! Both index types implement [`PositionalIndex`], so the storage layer and
 //! the benches can swap them freely.
 
 pub mod counted_btree;
 pub mod dense;
-pub mod mapping;
 
 pub use counted_btree::CountedBtree;
 pub use dense::DenseIndex;
-pub use mapping::RowMapping;
 
 use dataspread_types::DsResult;
 
