@@ -479,7 +479,7 @@ mod tests {
     use super::*;
     use dataspread_relstore::codec::encode_value;
     use dataspread_relstore::codec::put_str;
-    use dataspread_types::Value;
+    use dataspread_types::{CellError, Value};
 
     /// Version-1 metadata streams (pre-formula, pre-reserved-u64) must
     /// still decode: stores written by the previous release stay readable.
@@ -654,11 +654,53 @@ mod tests {
         let moved = CellAddr::new(0, MAX_COL);
         assert_eq!(wb.formula_text(s, moved), Some("=A11"));
         assert_eq!(wb.cell(s, moved), Value::text("x"));
-        // A11 moves onto the last row.
+        // A11 moves onto the last row, and survives a reopen: the
+        // checkpoint walks the sheet's two tiles, not the rows between.
         wb.insert_rows(s, 1, MAX_ROW - 10).unwrap();
-        assert_eq!(wb.cell(s, CellAddr::new(MAX_ROW, 0)), Value::text("x"));
-        assert_eq!(wb.formula_text(s, moved), Some("=A1073741824"));
-        assert_eq!(wb.cell(s, moved), Value::text("x"));
+        let last = CellAddr::new(MAX_ROW, 0);
+        for reopen in [false, true] {
+            if reopen {
+                drop(wb);
+                wb = Workbook::open(&dir).unwrap();
+            }
+            assert_eq!(wb.cell(s, last), Value::text("x"));
+            assert_eq!(wb.formula_text(s, moved), Some("=A1073741824"));
+            assert_eq!(wb.cell(s, moved), Value::text("x"));
+        }
+        drop(wb);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn references_pushed_off_the_sheet_reopen_as_ref_errors() {
+        let dir = std::env::temp_dir().join(format!("dsp-offsheet-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut wb = Workbook::new();
+        let s = wb.current_sheet();
+        let data = wb.add_sheet("Data").unwrap();
+        let b1 = CellAddr::new(0, 1);
+        // A reference to the last row, from the sheet itself and from
+        // another sheet; the used cells end far above it.
+        wb.set_input(s, b1, "=A1073741824").unwrap();
+        wb.set_input(data, b1, "=Sheet1!A1073741824+1").unwrap();
+        wb.save(&dir).unwrap();
+        wb.insert_rows(s, 0, 1).unwrap();
+        let own = CellAddr::new(1, 1);
+        let shown = |wb: &mut Workbook| {
+            let own_text = wb.formula_text(s, own).map(str::to_string);
+            let data_text = wb.formula_text(data, b1).map(str::to_string);
+            (wb.cell(s, own), own_text, wb.cell(data, b1), data_text)
+        };
+        let expected = (
+            Value::Error(CellError::Ref),
+            Some("=#REF!".to_string()),
+            Value::Error(CellError::Ref),
+            Some("=(#REF!+1)".to_string()),
+        );
+        assert_eq!(shown(&mut wb), expected);
+        drop(wb);
+        let mut wb = Workbook::open(&dir).unwrap();
+        assert_eq!(shown(&mut wb), expected);
         drop(wb);
         std::fs::remove_dir_all(&dir).unwrap();
     }

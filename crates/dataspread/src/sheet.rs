@@ -500,10 +500,8 @@ impl Sheet {
         put_u64(buf, 0);
         put_u64(buf, 0);
         let mut cells: Vec<(CellAddr, Value)> = Vec::with_capacity(self.cells.cell_count());
-        if let Some(bounds) = self.cells.used_bounds() {
-            self.cells
-                .for_each_in_range(bounds, &mut |a, v| cells.push((a, v.clone())));
-        }
+        self.cells
+            .for_each_cell(&mut |a, v| cells.push((a, v.clone())));
         // Deterministic order for byte-stable snapshots.
         cells.sort_by_key(|(a, _)| (a.row, a.col));
         put_u64(buf, cells.len() as u64);

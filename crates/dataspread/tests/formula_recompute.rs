@@ -446,3 +446,125 @@ fn range_visit_matches_cell_by_cell_eval() {
         }
     });
 }
+
+/// Bit-for-bit value equality: `0.0` and `-0.0` differ.
+fn same_bits(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// A typed input whose float sums depend on the order they are added in
+/// (`0.1 + 1e16 - 1e16` is `0`, `0.1 + (1e16 - 1e16)` is `0.1`).
+fn rand_order_sensitive_input(rng: &mut testkit::Rng) -> String {
+    const INPUTS: [&str; 7] = ["0.1", "1e16", "-1e16", "2.5", "3", "x", "TRUE"];
+    INPUTS[rng.index(INPUTS.len())].to_string()
+}
+
+/// An aggregate over one of the case's shared ranges, sometimes in first
+/// position (one fold a pass may share), sometimes behind a scalar or a
+/// cell (a fold into a running accumulator), sometimes sheet-qualified.
+fn rand_shared_range_formula(rng: &mut testkit::Rng, pool: &[String], sheets: &[&str]) -> String {
+    const AGGS: [&str; 5] = ["SUM", "AVG", "COUNT", "MIN", "MAX"];
+    const SCALARS: [&str; 4] = ["0.1", "2.5", "-3", "7"];
+    let range = |rng: &mut testkit::Rng| {
+        let r = &pool[rng.index(pool.len())];
+        match rng.below(3) {
+            0 => format!("{}!{r}", sheets[rng.index(sheets.len())]),
+            _ => r.clone(),
+        }
+    };
+    let agg = AGGS[rng.index(AGGS.len())];
+    match rng.weighted(&[5, 2, 3, 2, 2, 2]) {
+        0 => format!("={agg}({})", range(rng)),
+        1 => format!("={agg}({})+{}", range(rng), rng.below(10)),
+        2 => format!(
+            "={agg}({},{})",
+            SCALARS[rng.index(SCALARS.len())],
+            range(rng)
+        ),
+        3 => format!("={agg}({},{})", range(rng), range(rng)),
+        4 => format!("={agg}({},{})", a1(rand_addr(rng)), range(rng)),
+        _ => format!("={}+1", a1(rand_addr(rng))),
+    }
+}
+
+#[test]
+fn every_formula_shows_its_source_evaluated_alone() {
+    // The fixpoint oracle for the per-pass range memo: after every step,
+    // each formula's cached value is its source parsed afresh and
+    // evaluated alone, one `cell_value` at a time — no memo, no tile walk.
+    // (The lockstep property cannot see a wrong memo: its `full` side
+    // reads through the memo too.) Ranges come from a small per-case
+    // pool, so readers share them within a pass; both sheets use them
+    // unqualified, so one range text names two different rectangles.
+    let names = ["Sheet1", "Data"];
+    let hits = std::cell::Cell::new(0);
+    testkit::cases(iters(), 0xF1C5_EDA7, |rng| {
+        let mut wb = Workbook::new();
+        let ids = [wb.current_sheet(), wb.add_sheet("Data").unwrap()];
+        let pool: Vec<String> = (0..4)
+            .map(|_| {
+                let r = Range::new(rand_addr(rng), rand_addr(rng)).to_a1();
+                if r.contains(':') {
+                    r
+                } else {
+                    format!("{r}:{r}")
+                }
+            })
+            .collect();
+        for step in 0..rng.usize_in(20, 50) {
+            let sheet = ids[rng.index(2)];
+            match rng.weighted(&[6, 6, 2, 1, 1, 1]) {
+                0 => wb
+                    .set_input(sheet, rand_addr(rng), &rand_order_sensitive_input(rng))
+                    .map(drop),
+                // Mostly right of the pool's ranges, so few readers sit on
+                // a cycle (and show `#CYCLE!`, which the oracle skips).
+                1 => {
+                    let addr = match rng.below(3) {
+                        0 => rand_addr(rng),
+                        _ => CellAddr::new(rng.u32_in(0, ROWS), COLS + rng.u32_in(0, 3)),
+                    };
+                    let src = rand_shared_range_formula(rng, &pool, &names);
+                    wb.set_input(sheet, addr, &src).map(drop)
+                }
+                2 => wb.set_value(sheet, rand_addr(rng), Value::Empty).map(drop),
+                3 => wb.insert_rows(sheet, rng.u32_in(0, ROWS), 1),
+                4 => wb.delete_cols(sheet, rng.u32_in(0, COLS), 1),
+                _ => {
+                    wb.recalculate();
+                    Ok(())
+                }
+            }
+            .unwrap();
+            for &s in &ids {
+                let window = Range::from_bounds(0, 0, ROWS + 12, COLS + 12);
+                for addr in window.iter_cells() {
+                    let Some(src) = wb.sheet(s).formula_text(addr) else {
+                        continue;
+                    };
+                    let shown = wb.sheet(s).value(addr);
+                    if matches!(
+                        shown,
+                        Value::Error(CellError::Cycle) | Value::Error(CellError::Name)
+                    ) {
+                        continue;
+                    }
+                    let alone = Formula::parse(src)
+                        .unwrap()
+                        .eval(&CellByCell { wb: &wb, home: s });
+                    assert!(
+                        same_bits(&shown, &alone),
+                        "step {step}: {src} at {}: shown {shown:?}, alone {alone:?}",
+                        addr.to_a1()
+                    );
+                }
+            }
+        }
+        let snap = wb.metrics_snapshot();
+        hits.set(hits.get() + snap.counter("calc_range_memo_hits").unwrap_or(0));
+    });
+    assert!(hits.get() > 0, "no pass shared a range fold");
+}

@@ -30,8 +30,9 @@ pub trait CellProvider {
     ///
     /// The default probes `cell_value` once per cell. A provider backed by a
     /// block store overrides it to walk the range a block at a time — every
-    /// range a formula reads (aggregates, `CONCAT`, `VLOOKUP`'s key column)
-    /// goes through here.
+    /// range a formula walks (aggregates through
+    /// [`CellProvider::fold_range`], `CONCAT`, `VLOOKUP`'s key column) goes
+    /// through here.
     fn visit_range(
         &self,
         sheet: &SheetRef,
@@ -45,13 +46,29 @@ pub trait CellProvider {
         }
         Ok(())
     }
+
+    /// Fold the numeric cells of `range` into an aggregate's accumulator;
+    /// `Err` is the range's first error in row-major order (or the
+    /// provider's own `#REF!`), which poisons the aggregate. Every range or
+    /// cell argument of `SUM`/`AVG`/`COUNT`/`MIN`/`MAX` goes through here.
+    ///
+    /// The default walks the range with [`Acc::fold`]. A provider that
+    /// knows the range's cells cannot change between two calls may serve
+    /// the second from a memo, but only while `acc` [is
+    /// empty](Acc::is_empty): then the result depends on the cells and
+    /// [`Acc::func`] alone. Into a non-empty accumulator a fold is
+    /// order-sensitive (float sums round, integer sums widen on overflow),
+    /// so it must walk.
+    fn fold_range(&self, sheet: &SheetRef, range: Range, acc: &mut Acc) -> Result<(), CellError> {
+        acc.fold(self, sheet, range)
+    }
 }
 
 /// Walk `range` until the first error value, row-major: that error (or the
 /// provider's own `#REF!`) is the range's error. `f` sees every other cell.
 /// Generic, so `f` inlines into the one closure the provider calls per cell.
-fn walk_until_error(
-    cells: &dyn CellProvider,
+fn walk_until_error<P: CellProvider + ?Sized>(
+    cells: &P,
     sheet: &SheetRef,
     range: Range,
     mut f: impl FnMut(CellAddr, &Value) -> ControlFlow<()>,
@@ -222,9 +239,11 @@ fn arith(op: BinOp, a: &Value, b: &Value) -> Value {
     }
 }
 
-/// Numeric accumulator that stays integral as long as its inputs do.
-#[derive(Default)]
-struct Acc {
+/// An aggregate's running state: the numeric inputs folded so far, in
+/// order. The sum stays integral as long as its inputs do.
+#[derive(Clone, Debug)]
+pub struct Acc {
+    func: Func,
     count: u64,
     int_sum: i64,
     float_sum: f64,
@@ -236,11 +255,45 @@ struct Acc {
 }
 
 impl Acc {
-    fn new(f: Func) -> Acc {
+    fn new(func: Func) -> Acc {
         Acc {
-            extremes: matches!(f, Func::Min | Func::Max),
-            ..Acc::default()
+            func,
+            count: 0,
+            int_sum: 0,
+            float_sum: 0.0,
+            is_float: false,
+            extremes: matches!(func, Func::Min | Func::Max),
+            min: None,
+            max: None,
         }
+    }
+
+    /// The aggregate this accumulator folds for.
+    pub fn func(&self) -> Func {
+        self.func
+    }
+
+    /// Nothing folded yet: every input is counted, so this is the state
+    /// the aggregate started in.
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Push every numeric cell of `range`, walked through `cells` in
+    /// row-major order; blanks, text and booleans are skipped. `Err` is the
+    /// range's first error, and the accumulator is then left part-folded.
+    pub fn fold<P: CellProvider + ?Sized>(
+        &mut self,
+        cells: &P,
+        sheet: &SheetRef,
+        range: Range,
+    ) -> Result<(), CellError> {
+        walk_until_error(cells, sheet, range, |_, v| {
+            if v.is_numeric() {
+                self.push(v);
+            }
+            ControlFlow::Continue(())
+        })
     }
 
     fn push(&mut self, v: &Value) {
@@ -451,13 +504,7 @@ fn call(f: Func, args: &[Expr], cells: &dyn CellProvider) -> Value {
             },
         };
         if let Some((sheet, range)) = as_cells {
-            let walked = walk_until_error(cells, &sheet, range, |_, v| {
-                if v.is_numeric() {
-                    acc.push(v);
-                }
-                ControlFlow::Continue(())
-            });
-            if let Err(e) = walked {
+            if let Err(e) = cells.fold_range(&sheet, range, &mut acc) {
                 return Value::Error(e);
             }
         }

@@ -29,9 +29,10 @@ pub mod parser;
 
 use std::fmt;
 
+use dataspread_types::addr::{MAX_COL, MAX_ROW};
 use dataspread_types::{CellAddr, CellRef, DsResult, RangeRef, SheetRef, Value};
 
-pub use eval::CellProvider;
+pub use eval::{Acc, CellProvider};
 
 /// Binary operators, in source syntax.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -70,7 +71,7 @@ impl BinOp {
 }
 
 /// Built-in functions.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Func {
     Sum,
     Avg,
@@ -128,8 +129,9 @@ pub enum Expr {
     Lit(Value),
     /// A single-cell reference.
     Cell(CellRef),
-    /// A rectangular range reference.
-    Range(RangeRef),
+    /// A rectangular range reference, boxed: two corners and a sheet name
+    /// would more than double every node's size.
+    Range(Box<RangeRef>),
     /// A reference destroyed by a structural edit; evaluates to `#REF!`.
     RefError,
     /// Unary minus.
@@ -155,13 +157,13 @@ pub enum GridOp {
 
 impl GridOp {
     /// Where a single cell at `addr` ends up after this edit: `None` when the
-    /// cell itself is deleted.
+    /// cell itself is deleted, or pushed past the last row or column.
     pub fn map_addr(self, addr: CellAddr) -> Option<CellAddr> {
         let (row, col) = (addr.row, addr.col);
         let mapped = match self {
             GridOp::InsertRows { at, count } => (
                 if row >= at {
-                    row.checked_add(count)?
+                    GridOp::push(row, count, MAX_ROW)?
                 } else {
                     row
                 },
@@ -176,7 +178,7 @@ impl GridOp {
             GridOp::InsertCols { at, count } => (
                 row,
                 if col >= at {
-                    col.checked_add(count)?
+                    GridOp::push(col, count, MAX_COL)?
                 } else {
                     col
                 },
@@ -189,6 +191,12 @@ impl GridOp {
             }
         };
         Some(CellAddr::new(mapped.0, mapped.1))
+    }
+
+    /// Shift one axis index by an insertion of `count`: `None` past `max`,
+    /// where the reference leaves the address space (→ `#REF!`).
+    fn push(i: u32, count: u32, max: u32) -> Option<u32> {
+        i.checked_add(count).filter(|&j| j <= max)
     }
 
     /// Map one axis index of a *range corner* under a deletion: indices inside
@@ -333,7 +341,8 @@ fn adjust_expr(e: &mut Expr, op: GridOp, applies_to: &dyn Fn(&SheetRef) -> bool)
 }
 
 /// Shift a range for a structural edit. `None` means the whole range was
-/// deleted (→ `#REF!`); `Some(changed)` otherwise.
+/// deleted, or a corner pushed past the last row or column (→ `#REF!`);
+/// `Some(changed)` otherwise.
 fn adjust_range(r: &mut RangeRef, op: GridOp) -> Option<bool> {
     // Work on the normalized rectangle, then write the corners back.
     let rect = r.range();
@@ -342,10 +351,10 @@ fn adjust_range(r: &mut RangeRef, op: GridOp) -> Option<bool> {
     match op {
         GridOp::InsertRows { at, count } => {
             if r0 >= at {
-                r0 = r0.checked_add(count)?;
+                r0 = GridOp::push(r0, count, MAX_ROW)?;
             }
             if r1 >= at {
-                r1 = r1.checked_add(count)?;
+                r1 = GridOp::push(r1, count, MAX_ROW)?;
             }
         }
         GridOp::DeleteRows { at, count } => {
@@ -357,10 +366,10 @@ fn adjust_range(r: &mut RangeRef, op: GridOp) -> Option<bool> {
         }
         GridOp::InsertCols { at, count } => {
             if c0 >= at {
-                c0 = c0.checked_add(count)?;
+                c0 = GridOp::push(c0, count, MAX_COL)?;
             }
             if c1 >= at {
-                c1 = c1.checked_add(count)?;
+                c1 = GridOp::push(c1, count, MAX_COL)?;
             }
         }
         GridOp::DeleteCols { at, count } => {
@@ -478,6 +487,43 @@ mod tests {
         assert_eq!(f.to_string(), "=SUM(B1:E1)");
         assert!(f.adjust(GridOp::DeleteCols { at: 0, count: 1 }, &all));
         assert_eq!(f.to_string(), "=SUM(A1:D1)");
+    }
+
+    #[test]
+    fn references_pushed_off_the_sheet_become_ref_errors() {
+        let last_row = CellAddr::new(MAX_ROW, 0).to_a1();
+        let last_col = CellAddr::new(0, MAX_COL).to_a1();
+        let adjusted = |src: &str, op: GridOp| {
+            let mut f = fx(src);
+            assert!(f.adjust(op, &all), "{src} under {op:?}");
+            // The rewritten source parses back to the same formula.
+            assert_eq!(fx(&f.to_string()), f);
+            f.to_string()
+        };
+        // An insertion before the last row or column leaves a reference
+        // there nowhere to go, alone or as a range corner.
+        let one_row = GridOp::InsertRows { at: 0, count: 1 };
+        let one_col = GridOp::InsertCols { at: 0, count: 1 };
+        assert_eq!(adjusted(&format!("={last_row}+1"), one_row), "=(#REF!+1)");
+        assert_eq!(
+            adjusted(&format!("=SUM(A5:{last_row})"), one_row),
+            "=SUM(#REF!)"
+        );
+        assert_eq!(adjusted(&format!("=Data!{last_col}"), one_col), "=#REF!");
+        assert_eq!(
+            adjusted(&format!("=COUNT(A1:{last_col})"), one_col),
+            "=COUNT(#REF!)"
+        );
+        // A shift that lands exactly on the edge still shifts.
+        assert_eq!(
+            adjusted("=A1073741823+B1", one_row),
+            format!("=({last_row}+B2)")
+        );
+        let to_edge = GridOp::InsertCols {
+            at: 0,
+            count: MAX_COL,
+        };
+        assert_eq!(adjusted("=A1", to_edge), format!("={last_col}"));
     }
 
     #[test]

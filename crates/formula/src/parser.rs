@@ -244,7 +244,7 @@ impl Parser {
         if self.peek() == Some(&Token::Colon) {
             self.pos += 1;
             let end = self.corner()?;
-            return Ok(Expr::Range(RangeRef::new(sheet, start, end)));
+            return Ok(Expr::Range(Box::new(RangeRef::new(sheet, start, end))));
         }
         let mut cell = start;
         cell.sheet = sheet;

@@ -506,6 +506,32 @@ impl<T> TiledGrid<T> {
         flow
     }
 
+    /// Visit every cell, one allocated tile at a time in ascending tile
+    /// coordinates, each tile's cells in row-major order: one `blocks_read`
+    /// per tile and no probe of an address between them, however far apart
+    /// the tiles lie (a bounding-box walk probes every tile in the box).
+    /// Cells of one tile row therefore come out tile by tile, not row by row.
+    pub fn for_each_cell(&self, f: &mut dyn FnMut(CellAddr, &T)) {
+        let TileConfig {
+            tile_rows,
+            tile_cols,
+        } = self.cfg;
+        let mut coords: Vec<(u32, u32)> = self.tiles.keys().copied().collect();
+        coords.sort_unstable();
+        for &(tr, tc) in &coords {
+            let tile = &self.tiles[&(tr, tc)];
+            let (base_row, base_col) = (tr * tile_rows, tc * tile_cols);
+            for (slot, v) in occupied(&tile.words).zip(&tile.vals) {
+                let slot = slot as u32;
+                f(
+                    CellAddr::new(base_row + slot / tile_cols, base_col + slot % tile_cols),
+                    v,
+                );
+            }
+        }
+        self.stats.add_read(coords.len() as u64);
+    }
+
     /// Every tile satisfies the packing invariant, none is empty, and the
     /// cell count is the sum of their values.
     #[cfg(test)]
@@ -617,6 +643,7 @@ impl<T> CellStore<T> for TiledGrid<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dataspread_types::addr::{MAX_COL, MAX_ROW};
 
     fn small() -> TiledGrid<i64> {
         TiledGrid::new(TileConfig {
@@ -665,6 +692,31 @@ mod tests {
         let got = g.cells_in_range(Range::from_bounds(0, 0, 3, 3));
         assert_eq!(got.len(), 16);
         assert_eq!(g.stats().blocks_read(), 1, "only one tile overlaps");
+    }
+
+    #[test]
+    fn cell_walk_visits_each_tile_once_in_tile_order() {
+        let mut g = small();
+        // Far corners of the address space, and two tiles of one tile row.
+        let cells = [
+            (CellAddr::new(MAX_ROW, MAX_COL), 1),
+            (CellAddr::new(1, 5), 2),
+            (CellAddr::new(0, 0), 3),
+            (CellAddr::new(2, 1), 4),
+            (CellAddr::new(MAX_ROW, 0), 5),
+        ];
+        for (a, v) in cells {
+            g.set(a, v);
+        }
+        g.stats().reset();
+        let mut seen = Vec::new();
+        g.for_each_cell(&mut |a, v| seen.push((a, *v)));
+        assert_eq!(
+            seen,
+            [cells[2], cells[3], cells[1], cells[4], cells[0]],
+            "tile (0, 0) row-major, then tile (0, 1), then the last tile row"
+        );
+        assert_eq!(g.stats().blocks_read(), 4, "one read per tile");
     }
 
     #[test]

@@ -342,6 +342,11 @@ pub const METRICS: &[MetricSpec] = &[
         help: "Formula cells recompute passes examined (work set plus precedent tests)",
     },
     MetricSpec {
+        name: "calc_range_memo_hits",
+        kind: MetricKind::Counter,
+        help: "Aggregate range folds served from a recompute pass's memo instead of a walk",
+    },
+    MetricSpec {
         name: "bind_refreshes",
         kind: MetricKind::Counter,
         help: "Bound-region refresh passes that re-rendered a table",
