@@ -266,10 +266,11 @@ impl Workbook {
             store.wal.log(WalOp::BindCreate { meta: meta.clone() })?;
         }
         let id = meta.id;
-        self.bindings.register(meta);
-        let i = self.bindings.bindings.len() - 1;
-        self.refresh_binding_slot(i, true)?;
-        self.flush_grid();
+        self.edit(|wb| {
+            wb.bindings.register(meta);
+            let i = wb.bindings.bindings.len() - 1;
+            wb.refresh_binding_slot(i, true)
+        })?;
         Ok(id)
     }
 
@@ -282,7 +283,7 @@ impl Workbook {
             .bindings
             .index_of(id)
             .ok_or_else(|| DsError::Interface(format!("no binding {id}")))?;
-        self.detach_binding_keep_values(i)
+        self.edit(|wb| wb.detach_binding_keep_values(i))
     }
 
     /// Every binding id, in creation order.
@@ -783,10 +784,16 @@ impl Workbook {
 
     /// Fold table-side changes into the grid: detach bindings whose table
     /// vanished (freezing their last rendered values), then re-render every
-    /// binding whose table version or extent changed. The post-statement
-    /// hook of [`Workbook::execute`] and every binding entry point funnel
-    /// through here.
+    /// binding whose table version or extent changed, and recompute the
+    /// formulas watching the re-rendered cells.
     pub fn sync_bindings(&mut self) -> DsResult<()> {
+        self.edit(Self::refresh_bindings)
+    }
+
+    /// The body of [`Workbook::sync_bindings`], for callers already inside
+    /// the write boundary (the post-statement hook of
+    /// [`Workbook::execute`], positional DML) and for `open`.
+    pub(crate) fn refresh_bindings(&mut self) -> DsResult<()> {
         // Pass 1: tables that no longer exist.
         let orphaned: Vec<u64> = self
             .bindings

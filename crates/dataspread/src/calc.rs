@@ -5,16 +5,20 @@
 //! the changed cells, in topological order, never the unrelated ones (the
 //! HTAP argument: interactive latency must not pay for workbook size).
 //!
-//! The sheets record edits (`Sheet::take_pending`); the
-//! workbook folds them in lazily, on the next read or eagerly at the end of
-//! each workbook-level edit:
+//! An edit is finished when it returns. Every workbook method that changes
+//! sheet or table state runs inside `Workbook::edit`, the one write
+//! boundary, which folds the edit's consequences in before returning —
+//! whether the edit succeeded or failed part-way — so every read takes
+//! `&self` and shows computed values. The consequences are:
 //!
-//! 1. **Structural edits** (insert/delete rows/cols) first rewrite the
-//!    references of *other* sheets' formulas pointing at the edited sheet
-//!    (the edited sheet already rewrote its own), then trigger a full
-//!    recompute — structure changes are rare and invalidate broadly. The
-//!    full pass also rebuilds the `DepIndex` wholesale.
-//! 2. **Cell edits** first re-index every edited cell in the `DepIndex`
+//! 1. **Structural edits** (insert/delete rows/cols, `Workbook::edit_grid`)
+//!    rewrite the references *other* sheets' formulas hold into the edited
+//!    sheet at once (the edited sheet rewrote its own), and mark the
+//!    dependents index stale, so the boundary runs a full recompute —
+//!    structure changes are rare and invalidate broadly. The full pass
+//!    also rebuilds the `DepIndex` wholesale.
+//! 2. **Cell edits** are recorded by the sheets (`Sheet::take_pending`);
+//!    the boundary first re-indexes every edited cell in the `DepIndex`
 //!    (drop what a formula there was indexed under, re-insert the formula
 //!    there now). The dirty set then stabs the index: each changed position
 //!    yields the formulas with a precedent rectangle containing it, and a
@@ -42,11 +46,11 @@
 //! `VLOOKUP` still walk. An order-independent exact sum would lift that.
 //! `calc_range_memo_hits` counts the hits.
 //!
-//! [`CalcStats`] is a view over the workbook's metrics registry
-//! (`calc_passes` / `calc_cells_dirtied` / `calc_cells_recomputed`, see
-//! `docs/OBSERVABILITY.md`); tests use it to pin the "unrelated cells
-//! are not recomputed" property, not just final values, and
-//! `calc_graph_nodes_visited` pins that a pass examined no other formula.
+//! The metrics registry's `calc_passes` / `calc_cells_dirtied` /
+//! `calc_cells_recomputed` (see `docs/OBSERVABILITY.md`) let tests pin the
+//! "unrelated cells are not recomputed" property, not just final values,
+//! and `calc_graph_nodes_visited` pins that a pass examined no other
+//! formula.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -54,19 +58,10 @@ use std::ops::ControlFlow;
 
 use dataspread_formula::{Acc, CellProvider, Func, GridOp};
 use dataspread_gridstore::{RTree, Rect};
-use dataspread_types::{CellAddr, CellError, Range, SheetRef, Value};
+use dataspread_types::{CellAddr, CellError, DsResult, Range, SheetRef, Value};
 
 use crate::sheet::Sheet;
 use crate::workbook::Workbook;
-
-/// Recomputation counters (cumulative over the workbook's lifetime).
-#[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
-pub struct CalcStats {
-    /// Formula cells evaluated or poisoned with `#CYCLE!`.
-    pub cells_recomputed: u64,
-    /// Recalculation passes run (each flush of pending edits is one pass).
-    pub passes: u64,
-}
 
 /// A formula cell's identity: (sheet index, position).
 type CellId = (usize, CellAddr);
@@ -86,8 +81,9 @@ pub(crate) struct DepIndex {
     /// cycle or fed by one). A later pass that leaves one out of its work
     /// set still poisons the members it feeds, as a full pass would.
     cyclic: HashSet<CellId>,
-    /// Not built yet (a decoded workbook): the next flush runs a full
-    /// pass, which builds the index and the cycle set.
+    /// Not built yet (a decoded workbook) or out of date (a structural
+    /// edit): the next flush runs a full pass, which builds the index and
+    /// the cycle set.
     stale: bool,
 }
 
@@ -259,41 +255,38 @@ impl Workbook {
         }
     }
 
-    /// Fold every sheet's pending edits into the dependents index and
-    /// recompute what they invalidate. Cheap no-op when nothing is pending
-    /// and the index is built.
-    /// Called by every workbook-level read and at the end of every
-    /// workbook-level edit, so direct `sheet_mut` edits are folded in no
-    /// later than the next workbook operation.
+    /// One structural edit of sheet `i`: the sheet shifts its cells, its
+    /// formulas and its self-references, every other sheet's references
+    /// into it are rewritten now, and the index goes stale, so the next
+    /// flush is a full pass. Formulas typed later already use post-edit
+    /// coordinates and are never shifted by it.
+    pub(crate) fn edit_grid(&mut self, i: usize, op: GridOp) -> DsResult<()> {
+        self.sheets[i].edit_grid(op)?;
+        let edited = self.sheets[i].name().to_string();
+        for (j, sheet) in self.sheets.iter_mut().enumerate() {
+            if j != i {
+                sheet.adjust_foreign_refs(op, &edited);
+            }
+        }
+        self.deps.stale = true;
+        Ok(())
+    }
+
+    /// Fold every sheet's edited cells into the dependents index and
+    /// recompute what they invalidate — everything, when a structural edit
+    /// or a decode left the index stale. Cheap no-op when nothing is
+    /// pending and the index is built. Called by the write boundary
+    /// (`Workbook::edit`) and once by `open` after WAL replay.
     pub(crate) fn flush_grid(&mut self) {
         if !self.deps.stale && self.sheets.iter().all(|s| !s.has_pending()) {
             return;
         }
         let mut dirty: Vec<CellId> = Vec::new();
-        let mut structural: Vec<(u64, usize, GridOp)> = Vec::new();
-        for i in 0..self.sheets.len() {
-            let pending = self.sheets[i].take_pending();
-            dirty.extend(pending.cells.into_iter().map(|a| (i, a)));
-            structural.extend(pending.ops.into_iter().map(|(seq, op)| (seq, i, op)));
+        for (i, sheet) in self.sheets.iter_mut().enumerate() {
+            dirty.extend(sheet.take_pending().into_iter().map(|a| (i, a)));
         }
         self.obs.calc_cells_dirtied.add(dirty.len() as u64);
-        // Structural edits: the edited sheet rewrote its own references when
-        // the edit happened; rewrite the references other sheets hold into
-        // it, in edit-clock order. The per-formula stamp check inside
-        // `adjust_foreign_refs` keeps temporal correctness when a batch
-        // interleaves edits and formula writes (raw `sheet_mut` usage, WAL
-        // replay): a formula typed after an edit already uses post-edit
-        // coordinates and must not be shifted again.
-        structural.sort_by_key(|&(seq, _, _)| seq);
-        for &(seq, i, op) in &structural {
-            let name = self.sheets[i].name().to_string();
-            for j in 0..self.sheets.len() {
-                if j != i {
-                    self.sheets[j].adjust_foreign_refs(op, seq, &name);
-                }
-            }
-        }
-        if !structural.is_empty() || self.deps.stale {
+        if self.deps.stale {
             self.recompute_all();
         } else {
             self.reindex(&dirty);
@@ -302,8 +295,9 @@ impl Workbook {
     }
 
     /// Rebuild the dependents index and re-evaluate every formula in the
-    /// workbook (topological order, cycles poisoned). Used after structural
-    /// edits, sheet creation, `recalculate`, and on a stale index.
+    /// workbook (topological order, cycles poisoned). Used on a stale index
+    /// (after structural edits and decoding), on sheet creation, and by
+    /// `recalculate`.
     pub(crate) fn recompute_all(&mut self) {
         let mut deps = DepIndex::default();
         let mut work: Vec<CellId> = Vec::new();
@@ -446,6 +440,11 @@ mod tests {
         CellAddr::parse_a1(s).unwrap()
     }
 
+    /// A counter of the workbook's metrics registry.
+    fn counter(wb: &Workbook, name: &str) -> u64 {
+        wb.metrics_snapshot().counter(name).unwrap()
+    }
+
     #[test]
     fn formula_evaluates_and_tracks_edits() {
         let mut wb = Workbook::new();
@@ -485,10 +484,10 @@ mod tests {
         wb.set_input(s, a("Z1"), "100").unwrap();
         wb.set_input(s, a("B1"), "=A1*2").unwrap();
         wb.set_input(s, a("Y1"), "=Z1*2").unwrap();
-        let before = wb.calc_stats().cells_recomputed;
+        let before = counter(&wb, "calc_cells_recomputed");
         // Touch only A1: exactly one formula (B1) may re-evaluate.
         wb.set_input(s, a("A1"), "7").unwrap();
-        let recomputed = wb.calc_stats().cells_recomputed - before;
+        let recomputed = counter(&wb, "calc_cells_recomputed") - before;
         assert_eq!(recomputed, 1, "only the dependent formula re-evaluates");
         assert_eq!(wb.cell(s, a("B1")), Value::Int(14));
         assert_eq!(wb.cell(s, a("Y1")), Value::Int(200));
@@ -583,40 +582,6 @@ mod tests {
     }
 
     #[test]
-    fn later_formulas_are_not_double_shifted_by_batched_structural_edits() {
-        // Raw `sheet_mut` edits batch into one flush. A formula typed AFTER
-        // a structural edit already uses post-edit coordinates; the deferred
-        // foreign-reference rewrite must leave it alone (edit-clock stamps).
-        let mut wb = Workbook::new();
-        let data = wb.add_sheet("Data").unwrap();
-        let s = wb.current_sheet();
-        wb.set_input(data, a("A5"), "9").unwrap();
-        // Pending batch: structural edit, THEN a formula using post-shift
-        // coordinates (A5 moved to A6).
-        wb.sheet_mut(data).insert_rows(0, 1).unwrap();
-        wb.sheet_mut(s).set_input(a("B1"), "=Data!A6").unwrap();
-        assert_eq!(wb.cell(s, a("B1")), Value::Int(9));
-        assert_eq!(wb.formula_text(s, a("B1")), Some("=Data!A6"));
-        // The reverse order in one batch still shifts the older formula.
-        wb.sheet_mut(s).set_input(a("B2"), "=Data!A6").unwrap();
-        wb.sheet_mut(data).insert_rows(0, 1).unwrap();
-        assert_eq!(wb.cell(s, a("B2")), Value::Int(9));
-        assert_eq!(wb.formula_text(s, a("B2")), Some("=Data!A7"));
-    }
-
-    #[test]
-    fn direct_sheet_edits_fold_in_on_next_read() {
-        let mut wb = Workbook::new();
-        let s = wb.current_sheet();
-        wb.set_input(s, a("A1"), "4").unwrap();
-        wb.set_input(s, a("B1"), "=A1*3").unwrap();
-        // Raw sheet access (the escape hatch): no immediate recompute…
-        wb.sheet_mut(s).set_input(a("A1"), "10").unwrap();
-        // …but any workbook-level read folds it in.
-        assert_eq!(wb.cell(s, a("B1")), Value::Int(30));
-    }
-
-    #[test]
     fn formula_results_visible_to_sql() {
         let mut wb = Workbook::new();
         let s = wb.current_sheet();
@@ -628,9 +593,8 @@ mod tests {
         wb.set_input(s, a("A2"), "=A1/2").unwrap();
         let (_, rows) = wb.query("SELECT SUM(a) FROM RANGETABLE(A1:A2)").unwrap();
         assert_eq!(rows, vec![vec![Value::Int(60)]]);
-        // And stale caches are flushed even when the edit bypassed the
-        // workbook API.
-        wb.sheet_mut(s).set_input(a("A1"), "100").unwrap();
+        // And an edit of a precedent reaches the query through the formula.
+        wb.set_input(s, a("A1"), "100").unwrap();
         let (_, rows) = wb.query("SELECT RANGEVALUE(B1)").unwrap();
         assert_eq!(rows, vec![vec![Value::Int(102)]]);
     }
@@ -676,14 +640,15 @@ mod tests {
     fn index_stabs_visit_only_the_dependents_of_an_edit() {
         let (mut wb, s) = recalc_shaped();
         let visited = |wb: &Workbook| wb.obs.calc_graph_nodes_visited.get();
-        let recomputed = |wb: &Workbook| wb.calc_stats().cells_recomputed;
+        let recomputed = |wb: &Workbook| counter(wb, "calc_cells_recomputed");
+        let passes = |wb: &Workbook| counter(wb, "calc_passes");
         let hits = |wb: &Workbook| wb.obs.calc_range_memo_hits.get();
 
         // An edit nothing reads examines no formula and runs no pass.
-        let (v0, p0) = (visited(&wb), wb.calc_stats().passes);
+        let (v0, p0) = (visited(&wb), passes(&wb));
         wb.set_value(s, a("H5"), Value::Int(1)).unwrap();
         assert_eq!(visited(&wb) - v0, 0);
-        assert_eq!(wb.calc_stats().passes - p0, 0);
+        assert_eq!(passes(&wb) - p0, 0);
 
         // A leaf edit reaches B5, its block sum D1 and the ten column sums;
         // the first column sum walks A1:A3000 and the other nine reuse it.
@@ -826,18 +791,18 @@ mod tests {
         wb.set_input(s, a("C1"), "=B1").unwrap();
         // Retype B1 to read column D instead: A edits no longer reach it.
         wb.set_input(s, a("B1"), "=D1*2").unwrap();
-        let before = wb.calc_stats().cells_recomputed;
+        let before = counter(&wb, "calc_cells_recomputed");
         for r in 1..=7 {
             wb.set_value(s, a(&format!("A{r}")), Value::Int(r)).unwrap();
         }
-        assert_eq!(wb.calc_stats().cells_recomputed, before);
+        assert_eq!(counter(&wb, "calc_cells_recomputed"), before);
         wb.set_value(s, a("D1"), Value::Int(4)).unwrap();
         assert_eq!(wb.cell(s, a("C1")), Value::Int(8));
         // Clearing B1 drops its entries; C1 still re-reads the empty cell.
         wb.set_value(s, a("B1"), Value::Empty).unwrap();
-        let before = wb.calc_stats().cells_recomputed;
+        let before = counter(&wb, "calc_cells_recomputed");
         wb.set_value(s, a("D1"), Value::Int(5)).unwrap();
-        assert_eq!(wb.calc_stats().cells_recomputed, before);
+        assert_eq!(counter(&wb, "calc_cells_recomputed"), before);
         assert_eq!(wb.cell(s, a("C1")), Value::Empty);
         assert!(wb.deps.by_formula.keys().all(|id| id.1 == a("C1")));
     }

@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
-use dataspread_relstore::{GroupCommitStats, Table, TableSnapshot};
+use dataspread_relstore::{Table, TableSnapshot};
 use dataspread_sql::ast::Statement;
 use dataspread_sql::parser::parse_statement;
 use dataspread_types::{DsError, DsResult, Value};
@@ -44,11 +44,12 @@ use crate::workbook::Workbook;
 /// A `&self`-based query handle over a workbook: runs `SELECT` statements
 /// (and takes snapshots) without `&mut Workbook`.
 ///
-/// Because every public mutating entry point of [`Workbook`] folds pending
-/// formula recomputation before returning, a workbook *at rest* — one no
-/// thread is currently mutating — always shows computed values, so a read
-/// session needs no flush of its own. `RANGEVALUE`/`RANGETABLE` resolve
-/// against that at-rest grid.
+/// An edit of a [`Workbook`] is finished when it returns: every method
+/// that changes sheet or table state recomputes dependent formulas and
+/// re-renders bound regions before returning, whether it succeeded or not.
+/// So a workbook *at rest* — one no thread is currently mutating — always
+/// shows computed values, and `RANGEVALUE`/`RANGETABLE` resolve against
+/// that grid with no flush of their own.
 pub struct ReadSession<'a> {
     wb: &'a Workbook,
 }
@@ -57,12 +58,6 @@ impl Workbook {
     /// Open a read-only query session. See [`ReadSession`].
     pub fn read_session(&self) -> ReadSession<'_> {
         ReadSession { wb: self }
-    }
-
-    /// Group-commit counters of the attached WAL (commits vs fsyncs), or
-    /// `None` when the workbook has no durable store.
-    pub fn group_commit_stats(&self) -> Option<GroupCommitStats> {
-        self.store.as_ref().map(|s| s.wal.group_commit_stats())
     }
 
     /// An owned consistent image of every catalog table. See

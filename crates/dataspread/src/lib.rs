@@ -82,7 +82,6 @@ pub mod sheet;
 pub mod workbook;
 
 pub use bind::{BindModel, BindingMeta};
-pub use calc::CalcStats;
 pub use concurrent::{ReadSession, SharedWorkbook, WorkbookSnapshot};
 pub use engine::QueryResult;
 pub use sheet::Sheet;
@@ -333,13 +332,13 @@ mod tests {
     fn rangevalue_reads_live_grid() {
         let mut wb = setup();
         let s = wb.current_sheet();
-        wb.sheet_mut(s).set_input(a("B1"), "90").unwrap();
+        wb.set_input(s, a("B1"), "90").unwrap();
         let (_, rows) = wb
             .query("SELECT COUNT(*) FROM students WHERE score > RANGEVALUE(B1)")
             .unwrap();
         assert_eq!(rows, vec![vec![Value::Int(2)]]);
         // Update the cell; the same query sees the new value.
-        wb.sheet_mut(s).set_input(a("B1"), "95").unwrap();
+        wb.set_input(s, a("B1"), "95").unwrap();
         let (_, rows) = wb
             .query("SELECT COUNT(*) FROM students WHERE score > RANGEVALUE(B1)")
             .unwrap();
@@ -350,16 +349,16 @@ mod tests {
     fn rangetable_joins_grid_with_table() {
         let mut wb = setup();
         let s = wb.current_sheet();
-        wb.sheet_mut(s)
-            .set_region(
-                a("A1"),
-                &[
-                    vec![Value::text("id"), Value::text("bonus")],
-                    vec![Value::Int(1), Value::Int(5)],
-                    vec![Value::Int(3), Value::Int(7)],
-                ],
-            )
-            .unwrap();
+        wb.set_region(
+            s,
+            a("A1"),
+            &[
+                vec![Value::text("id"), Value::text("bonus")],
+                vec![Value::Int(1), Value::Int(5)],
+                vec![Value::Int(3), Value::Int(7)],
+            ],
+        )
+        .unwrap();
         let (_, rows) = wb
             .query("SELECT name, bonus FROM students NATURAL JOIN RANGETABLE(A1:B3) ORDER BY name")
             .unwrap();

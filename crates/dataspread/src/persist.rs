@@ -33,6 +33,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use dataspread_formula::GridOp;
 use dataspread_relstore::codec::{put_str, put_u32, put_u64, Cursor};
 use dataspread_relstore::snapshot::{self, load_catalog_with, save_catalog_with, DATA_FILE};
 use dataspread_relstore::vfs::{os_vfs, Vfs};
@@ -135,10 +136,8 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
     let cap = nsheets.min(cur.remaining());
     let mut sheets = Vec::with_capacity(cap);
     let mut by_name = std::collections::HashMap::with_capacity(cap);
-    let clock = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(1));
     for i in 0..nsheets {
-        let mut sheet = Sheet::decode(&mut cur, version >= 2)?;
-        sheet.share_clock(std::sync::Arc::clone(&clock));
+        let sheet = Sheet::decode(&mut cur, version >= 2)?;
         by_name.insert(sheet.name().to_ascii_lowercase(), i);
         sheets.push(sheet);
     }
@@ -206,7 +205,6 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
         current,
         store: None,
         obs: WbObs::default(),
-        clock,
         bindings,
         // Decoded formulas are not indexed yet: the first flush (the one
         // `open` runs) recomputes in full and builds the index.
@@ -322,10 +320,9 @@ impl Workbook {
         // create/drop — on top of the decoded state (the relational ops,
         // including CREATE/DROP TABLE DDL records, were already replayed by
         // `load_catalog`). The sheets are detached here, so replay does not
-        // re-log itself; the shared edit clock stamps replayed formulas and
-        // structural edits in replay order, so the flush below rewrites
-        // references with the same temporal semantics as the original
-        // execution.
+        // re-log itself. A replayed structural edit rewrites other sheets'
+        // references as the live edit did, in log order, so a formula
+        // logged after it is not shifted by it.
         for op in &loaded.engine_ops {
             wb.apply_engine_op(op)?;
         }
@@ -334,7 +331,7 @@ impl Workbook {
         // replayed edits in. The decoded dependents index is stale, so this
         // first flush is one full pass: it evaluates every formula and
         // builds the index the incremental passes after it stab.
-        wb.sync_bindings()?;
+        wb.refresh_bindings()?;
         wb.flush_grid();
         // Fold the replayed tail into a fresh checkpoint + empty WAL.
         wb.checkpoint_into(dir, generation + 1, &vfs)?;
@@ -362,11 +359,11 @@ impl Workbook {
             }
             _ => return Ok(()), // table ops were applied by load_catalog
         };
-        let s = &mut self.sheets[sheet.0];
         match op {
             WalOp::SheetCell {
                 row, col, content, ..
             } => {
+                let s = &mut self.sheets[sheet.0];
                 let addr = CellAddr::new(*row, *col);
                 match content {
                     SheetCellContent::Value(v) => {
@@ -377,14 +374,17 @@ impl Workbook {
                     }
                 }
             }
-            WalOp::SheetGrid {
+            &WalOp::SheetGrid {
                 edit, at, count, ..
-            } => match edit {
-                GridEditKind::InsertRows => s.insert_rows(*at, *count)?,
-                GridEditKind::DeleteRows => s.delete_rows(*at, *count)?,
-                GridEditKind::InsertCols => s.insert_cols(*at, *count)?,
-                GridEditKind::DeleteCols => s.delete_cols(*at, *count)?,
-            },
+            } => {
+                let op = match edit {
+                    GridEditKind::InsertRows => GridOp::InsertRows { at, count },
+                    GridEditKind::DeleteRows => GridOp::DeleteRows { at, count },
+                    GridEditKind::InsertCols => GridOp::InsertCols { at, count },
+                    GridEditKind::DeleteCols => GridOp::DeleteCols { at, count },
+                };
+                self.edit_grid(sheet.0, op)?;
+            }
             _ => {}
         }
         Ok(())
@@ -439,8 +439,6 @@ impl Workbook {
         generation: u64,
         vfs: &Arc<dyn Vfs>,
     ) -> DsResult<()> {
-        // Snapshot computed values, not stale caches.
-        self.flush_grid();
         let wb_meta = encode_workbook_meta(self);
         // When checkpointing the attached directory, hand the current WAL
         // to the snapshot writer: a post-rename failure must poison it so
@@ -498,7 +496,7 @@ mod tests {
         put_u32(&mut buf, 0);
         encode_value(&mut buf, &Value::Int(7));
         // No formula section, no reserved u64: that's the v1 layout.
-        let mut wb = decode_workbook_meta(&buf, Catalog::new()).unwrap();
+        let wb = decode_workbook_meta(&buf, Catalog::new()).unwrap();
         let s = wb.current_sheet();
         assert_eq!(wb.cell(s, CellAddr::new(0, 0)), Value::Int(7));
         assert_eq!(wb.sheet(s).formula_count(), 0);

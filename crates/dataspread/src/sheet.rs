@@ -8,15 +8,17 @@
 //! Formula cells keep their parsed [`Formula`] here, next to the *cached*
 //! display value in the cell store — so every read path (`RANGEVALUE`,
 //! `RANGETABLE`, region scans) sees computed results with zero formula
-//! awareness. Recomputation is the workbook's job: the sheet only records
-//! which cells changed (`Sheet::take_pending`) and evaluates a freshly
-//! typed formula once against itself. When the owning workbook is durable,
+//! awareness. Recomputation is the workbook's job: the sheet records which
+//! cells an edit changed (`Sheet::take_pending`), for the workbook to fold
+//! in before that edit returns, and evaluates a freshly typed formula once
+//! against itself. Structural edits shift the sheet's own cells, formulas
+//! and self-references; the workbook rewrites the references other sheets
+//! hold into it in the same call. When the owning workbook is durable,
 //! every cell and structural edit is WAL-logged (the logical input, not the
 //! computed value) so grid edits survive a crash between checkpoints.
 
 use std::collections::{BTreeMap, HashSet};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dataspread_formula::{CellProvider, Formula, GridOp};
@@ -32,26 +34,6 @@ use dataspread_types::{CellAddr, CellError, DsError, DsResult, Range, SheetRef, 
 pub(crate) struct CellFormula {
     pub src: String,
     pub ast: Option<Formula>,
-    /// Edit-clock tick at which the formula was (re)typed. A deferred
-    /// structural-edit rewrite applies only to formulas *older* than the
-    /// edit — a formula typed afterwards already uses post-edit coordinates.
-    pub stamp: u64,
-}
-
-/// Edits made since the workbook last recomputed: the changed cell positions
-/// and, in order, any structural edits (with their edit-clock sequence, for
-/// temporal ordering against formula stamps). Consumed by the workbook's
-/// recalculation pass.
-#[derive(Default, Debug)]
-pub(crate) struct PendingEdits {
-    pub cells: HashSet<CellAddr>,
-    pub ops: Vec<(u64, GridOp)>,
-}
-
-impl PendingEdits {
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty() && self.ops.is_empty()
-    }
 }
 
 /// One sheet of a workbook.
@@ -63,12 +45,8 @@ pub struct Sheet {
     formulas: BTreeMap<CellAddr, CellFormula>,
     /// Redo log for grid edits when the owning workbook is durable.
     wal: Option<Arc<WalWriter>>,
-    /// Edits not yet folded into the workbook's dependency graph.
-    pending: PendingEdits,
-    /// Edit clock, shared across every sheet of a workbook so formula
-    /// stamps and structural-edit sequences are totally ordered workbook-
-    /// wide. A lone sheet gets a private clock.
-    clock: Arc<AtomicU64>,
+    /// Cells edited since the workbook last recomputed.
+    pending: HashSet<CellAddr>,
 }
 
 impl std::fmt::Debug for Sheet {
@@ -118,21 +96,8 @@ impl Sheet {
             cells: TiledGrid::default(),
             formulas: BTreeMap::new(),
             wal: None,
-            pending: PendingEdits::default(),
-            // Start at 1: snapshot-decoded formulas carry stamp 0 and are
-            // older than every live edit.
-            clock: Arc::new(AtomicU64::new(1)),
+            pending: HashSet::new(),
         }
-    }
-
-    /// Share the workbook's edit clock (called when the sheet joins a
-    /// workbook) so stamps order across sheets.
-    pub(crate) fn share_clock(&mut self, clock: Arc<AtomicU64>) {
-        self.clock = clock;
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
     }
 
     pub fn name(&self) -> &str {
@@ -216,7 +181,7 @@ impl Sheet {
     /// the address is displaced (bound cells cannot hold formulas).
     pub(crate) fn write_bound(&mut self, addr: CellAddr, v: Value) {
         self.formulas.remove(&addr);
-        self.pending.cells.insert(addr);
+        self.pending.insert(addr);
         self.store_write(addr, v);
     }
 
@@ -227,7 +192,7 @@ impl Sheet {
     pub fn set_value(&mut self, addr: CellAddr, v: Value) -> DsResult<Value> {
         self.log_cell(addr, SheetCellContent::Value(v.clone()))?;
         self.formulas.remove(&addr);
-        self.pending.cells.insert(addr);
+        self.pending.insert(addr);
         Ok(self.store_write(addr, v))
     }
 
@@ -263,10 +228,9 @@ impl Sheet {
             CellFormula {
                 src: src.to_string(),
                 ast,
-                stamp: self.tick(),
             },
         );
-        self.pending.cells.insert(addr);
+        self.pending.insert(addr);
         self.store_write(addr, v.clone());
         Ok(v)
     }
@@ -290,8 +254,8 @@ impl Sheet {
         self.formulas.keys().copied().collect()
     }
 
-    /// Take (and clear) the edits recorded since the last recomputation.
-    pub(crate) fn take_pending(&mut self) -> PendingEdits {
+    /// Take (and clear) the cells edited since the last recomputation.
+    pub(crate) fn take_pending(&mut self) -> HashSet<CellAddr> {
         std::mem::take(&mut self.pending)
     }
 
@@ -365,7 +329,7 @@ impl Sheet {
 
     /// Shift the formula cells themselves and every *self*-reference inside
     /// them (`A1` and `ThisSheet!A1` alike) for a structural edit. References
-    /// from other sheets are the workbook's job at recompute time.
+    /// from other sheets are the workbook's job (`Workbook::edit_grid`).
     fn shift_formulas(&mut self, op: GridOp) {
         let old = std::mem::take(&mut self.formulas);
         for (addr, f) in old {
@@ -387,19 +351,14 @@ impl Sheet {
                 }
             }
         }
-        self.pending.ops.push((self.tick(), op));
     }
 
     /// Rewrite references this sheet's formulas hold into another (edited)
     /// sheet: only `Named` qualifiers can point at a foreign sheet. Called by
-    /// the workbook when a *different* sheet has a structural edit.
-    /// Only formulas typed *before* the edit (`stamp < op_seq`) are
-    /// rewritten — later formulas already use post-edit coordinates.
-    pub(crate) fn adjust_foreign_refs(&mut self, op: GridOp, op_seq: u64, edited: &str) {
+    /// the workbook when a *different* sheet has a structural edit, in the
+    /// same call as the edit.
+    pub(crate) fn adjust_foreign_refs(&mut self, op: GridOp, edited: &str) {
         for f in self.formulas.values_mut() {
-            if f.stamp >= op_seq {
-                continue;
-            }
             if let Some(ast) = &mut f.ast {
                 let applies = |s: &SheetRef| matches!(s, SheetRef::Named(n) if n.eq_ignore_ascii_case(edited));
                 if ast.adjust(op, &applies) {
@@ -436,7 +395,7 @@ impl Sheet {
     /// column, or an insert that would push a used cell past it — is
     /// rejected before it is logged, so lone sheets, the workbook and WAL
     /// replay share the rule.
-    fn edit_grid(&mut self, op: GridOp) -> DsResult<()> {
+    pub(crate) fn edit_grid(&mut self, op: GridOp) -> DsResult<()> {
         use GridEditKind as K;
         let (kind, at, count, rows, insert) = match op {
             GridOp::InsertRows { at, count } => (K::InsertRows, at, count, true, true),
@@ -520,7 +479,7 @@ impl Sheet {
     }
 
     /// Rebuild a sheet from the snapshot stream. Formula sources are
-    /// re-parsed (with stamp 0 — older than every live edit); cached values
+    /// re-parsed; cached values
     /// come back from the cell section, so no evaluation happens here (the
     /// workbook recomputes after recovery). `with_formulas` is false when
     /// decoding a version-1 stream, which predates formula sections.
@@ -557,7 +516,7 @@ impl Sheet {
                 let ast = Formula::parse(&src).ok();
                 sheet
                     .formulas
-                    .insert(CellAddr::new(row, col), CellFormula { src, ast, stamp: 0 });
+                    .insert(CellAddr::new(row, col), CellFormula { src, ast });
             }
         }
         Ok(sheet)

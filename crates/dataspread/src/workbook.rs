@@ -7,9 +7,8 @@
 //! paper calls the *interface manager*.
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
-use std::sync::Arc;
 
+use dataspread_formula::GridOp;
 use dataspread_gridstore::CellStore;
 use dataspread_relstore::{Catalog, ColumnDef, RowKey, Schema, StoreHandle};
 use dataspread_sql::ast::Statement;
@@ -18,7 +17,7 @@ use dataspread_sql::resolver::SheetResolver;
 use dataspread_types::{col_to_letters, CellAddr, DataType, DsError, DsResult, Range, Value};
 
 use crate::bind::BindingRegistry;
-use crate::calc::{CalcStats, DepIndex};
+use crate::calc::DepIndex;
 use crate::engine::{self, QueryResult};
 use crate::metrics::WbObs;
 use crate::sheet::Sheet;
@@ -65,9 +64,6 @@ pub struct Workbook {
     /// Metrics registry, span tracer, and every engine counter handle
     /// (see `docs/OBSERVABILITY.md`).
     pub(crate) obs: WbObs,
-    /// Edit clock shared with every sheet: totally orders formula writes
-    /// and structural edits workbook-wide (see `calc::Workbook::flush_grid`).
-    pub(crate) clock: Arc<AtomicU64>,
     /// Table-bound sheet regions (paper §2.1 TOM/ROM/COM; see `crate::bind`).
     pub(crate) bindings: BindingRegistry,
     /// Which formulas read which cells (see `calc::DepIndex`).
@@ -90,7 +86,6 @@ impl Workbook {
             current: 0,
             store: None,
             obs: WbObs::default(),
-            clock: Arc::new(AtomicU64::new(1)),
             bindings: BindingRegistry::default(),
             // No formulas yet: the empty index is already exact.
             deps: DepIndex::default(),
@@ -134,14 +129,11 @@ impl Workbook {
         if self.by_name.contains_key(&key) {
             return Err(DsError::Interface(format!("sheet `{name}` already exists")));
         }
-        let mut sheet = Sheet::new(name);
-        sheet.share_clock(Arc::clone(&self.clock));
-        self.sheets.push(sheet);
+        self.sheets.push(Sheet::new(name));
         let id = self.sheets.len() - 1;
         self.by_name.insert(key, id);
         // The new name may resolve formerly broken `Name!ref` references.
         if self.sheets.iter().any(|s| s.formula_count() > 0) {
-            self.flush_grid();
             self.recompute_all();
         }
         // Adding a sheet is interface DDL: checkpoint so later WAL records
@@ -164,24 +156,6 @@ impl Workbook {
         &self.sheets[id.0]
     }
 
-    /// Raw mutable access to a sheet, bypassing the workbook's edit pipeline.
-    ///
-    /// Crate-internal on purpose: edits made through the returned `&mut
-    /// Sheet` skip binding routing (a write landing on a table-bound cell
-    /// will NOT become table DML) and leave formula recomputation pending
-    /// until the next workbook-level operation calls `flush_grid`. External
-    /// callers use the logged, recomputing APIs instead —
-    /// [`Workbook::set_input`], [`Workbook::set_value`],
-    /// [`Workbook::set_region`], and the structural-edit methods.
-    ///
-    /// Invariant for in-crate users: never write through this handle into a
-    /// cell covered by a table binding, and follow batches of raw edits with
-    /// `flush_grid` (every public mutating entry point already does).
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn sheet_mut(&mut self, id: SheetId) -> &mut Sheet {
-        &mut self.sheets[id.0]
-    }
-
     pub fn sheet_count(&self) -> usize {
         self.sheets.len()
     }
@@ -198,24 +172,30 @@ impl Workbook {
 
     // ---- grid edits (formula-aware, WAL-logged, recomputed) ---------------
 
+    /// The write boundary: run `op`, then fold in what it changed —
+    /// dependent formulas, bound mirrors' readers, a structural edit's full
+    /// pass — whether it succeeded or failed part-way. Every public method
+    /// that changes sheet or table state ends here, so an edit is finished
+    /// when it returns and reads need no flush of their own.
+    pub(crate) fn edit<T>(&mut self, op: impl FnOnce(&mut Self) -> DsResult<T>) -> DsResult<T> {
+        let out = op(self);
+        self.flush_grid();
+        out
+    }
+
     /// Type input into a cell: literals are recognized, `=`-prefixed input
     /// becomes a formula evaluated through the cross-sheet dependency graph.
     /// Dependent formulas recompute incrementally before this returns; the
     /// returned value is what the cell now displays.
     pub fn set_input(&mut self, sheet: SheetId, addr: CellAddr, input: &str) -> DsResult<Value> {
         self.ensure_writable()?;
-        if let Some(bi) = self.binding_index_at(sheet, addr) {
-            if input.trim_start().starts_with('=') {
-                return Err(DsError::Interface(
-                    "a table-bound cell cannot hold a formula".into(),
-                ));
-            }
-            self.bound_set_value(bi, sheet, addr, Value::from_input(input))?;
-            self.flush_grid();
-            return Ok(self.sheets[sheet.0].value(addr));
-        }
-        self.sheets[sheet.0].set_input(addr, input)?;
-        self.flush_grid();
+        self.edit(|wb| match wb.binding_index_at(sheet, addr) {
+            Some(_) if input.trim_start().starts_with('=') => Err(DsError::Interface(
+                "a table-bound cell cannot hold a formula".into(),
+            )),
+            Some(bi) => wb.bound_set_value(bi, sheet, addr, Value::from_input(input)),
+            None => wb.sheets[sheet.0].set_input(addr, input),
+        })?;
         Ok(self.sheets[sheet.0].value(addr))
     }
 
@@ -223,12 +203,10 @@ impl Workbook {
     /// recompute its dependents.
     pub fn set_value(&mut self, sheet: SheetId, addr: CellAddr, v: Value) -> DsResult<Value> {
         self.ensure_writable()?;
-        let old = match self.binding_index_at(sheet, addr) {
-            Some(bi) => self.bound_set_value(bi, sheet, addr, v)?,
-            None => self.sheets[sheet.0].set_value(addr, v)?,
-        };
-        self.flush_grid();
-        Ok(old)
+        self.edit(|wb| match wb.binding_index_at(sheet, addr) {
+            Some(bi) => wb.bound_set_value(bi, sheet, addr, v),
+            None => wb.sheets[sheet.0].set_value(addr, v),
+        })
     }
 
     /// Fill a rectangular region with literal values and recompute.
@@ -248,40 +226,35 @@ impl Workbook {
             && Range::from_bounds(at.row, at.col, at.row + height - 1, at.col + width - 1)
                 .iter_cells()
                 .any(|a| self.binding_index_at(sheet, a).is_some());
-        if routed {
+        self.edit(|wb| {
+            if !routed {
+                return wb.sheets[sheet.0].set_region(at, rows);
+            }
             // Bound cells become table DML one by one; the unbound
             // remainder still batches into a single WAL transaction.
             let mut plain: Vec<(CellAddr, Value)> = Vec::new();
             for (dr, row) in rows.iter().enumerate() {
                 for (dc, v) in row.iter().enumerate() {
                     let addr = CellAddr::new(at.row + dr as u32, at.col + dc as u32);
-                    match self.binding_index_at(sheet, addr) {
+                    match wb.binding_index_at(sheet, addr) {
                         Some(bi) => {
-                            self.bound_set_value(bi, sheet, addr, v.clone())?;
+                            wb.bound_set_value(bi, sheet, addr, v.clone())?;
                         }
                         None => plain.push((addr, v.clone())),
                     }
                 }
             }
-            self.sheets[sheet.0].set_cells(&plain)?;
-        } else {
-            self.sheets[sheet.0].set_region(at, rows)?;
-        }
-        self.flush_grid();
-        Ok(())
+            wb.sheets[sheet.0].set_cells(&plain)
+        })
     }
 
-    /// The value a cell displays, with any pending recomputation folded in.
-    pub fn cell(&mut self, sheet: SheetId, addr: CellAddr) -> Value {
-        self.flush_grid();
+    /// The value a cell displays (a formula cell shows its computed value).
+    pub fn cell(&self, sheet: SheetId, addr: CellAddr) -> Value {
         self.sheets[sheet.0].value(addr)
     }
 
-    /// The formula source at a cell, if it holds one. Pending structural
-    /// rewrites are folded in first, so the source shown always matches the
-    /// formula that evaluates.
-    pub fn formula_text(&mut self, sheet: SheetId, addr: CellAddr) -> Option<&str> {
-        self.flush_grid();
+    /// The formula source at a cell, if it holds one.
+    pub fn formula_text(&self, sheet: SheetId, addr: CellAddr) -> Option<&str> {
         self.sheets[sheet.0].formula_text(addr)
     }
 
@@ -293,10 +266,10 @@ impl Workbook {
         // empty tuples on the backing table; validate the schema accepts
         // them before the grid moves.
         self.validate_insert_rows(sheet.0, at)?;
-        self.sheets[sheet.0].insert_rows(at, count)?;
-        self.bindings_after_insert_rows(sheet.0, at, count)?;
-        self.flush_grid();
-        Ok(())
+        self.edit(|wb| {
+            wb.edit_grid(sheet.0, GridOp::InsertRows { at, count })?;
+            wb.bindings_after_insert_rows(sheet.0, at, count)
+        })
     }
 
     /// Delete rows: references into the span become `#REF!`, ranges shrink,
@@ -306,45 +279,34 @@ impl Workbook {
         // Deletions overlapping a bound region delete the covered tuples
         // from the backing table; plan against pre-edit coordinates.
         let plan = self.plan_delete_rows(sheet.0, at, count);
-        self.sheets[sheet.0].delete_rows(at, count)?;
-        self.apply_delete_rows_plan(sheet.0, plan)?;
-        self.flush_grid();
-        Ok(())
+        self.edit(|wb| {
+            wb.edit_grid(sheet.0, GridOp::DeleteRows { at, count })?;
+            wb.apply_delete_rows_plan(sheet.0, plan)
+        })
     }
 
     /// Insert blank columns (see [`Workbook::insert_rows`]).
     pub fn insert_cols(&mut self, sheet: SheetId, at: u32, count: u32) -> DsResult<()> {
         self.ensure_writable()?;
-        self.sheets[sheet.0].insert_cols(at, count)?;
-        self.bindings_after_insert_cols(sheet.0, at, count)?;
-        self.flush_grid();
-        Ok(())
+        self.edit(|wb| {
+            wb.edit_grid(sheet.0, GridOp::InsertCols { at, count })?;
+            wb.bindings_after_insert_cols(sheet.0, at, count)
+        })
     }
 
     /// Delete columns (see [`Workbook::delete_rows`]).
     pub fn delete_cols(&mut self, sheet: SheetId, at: u32, count: u32) -> DsResult<()> {
         self.ensure_writable()?;
         let plan = self.plan_delete_cols(sheet.0, at, count);
-        self.sheets[sheet.0].delete_cols(at, count)?;
-        self.apply_delete_cols_plan(sheet.0, plan)?;
-        self.flush_grid();
-        Ok(())
+        self.edit(|wb| {
+            wb.edit_grid(sheet.0, GridOp::DeleteCols { at, count })?;
+            wb.apply_delete_cols_plan(sheet.0, plan)
+        })
     }
 
     /// Force a full recomputation of every formula in the workbook.
     pub fn recalculate(&mut self) {
-        self.flush_grid();
         self.recompute_all();
-    }
-
-    /// Cumulative recomputation counters (how many formula evaluations the
-    /// incremental engine actually ran). A registry-backed view: the same
-    /// numbers exported as `calc_passes` / `calc_cells_recomputed`.
-    pub fn calc_stats(&self) -> CalcStats {
-        CalcStats {
-            cells_recomputed: self.obs.calc_cells_recomputed.get(),
-            passes: self.obs.calc_passes.get(),
-        }
     }
 
     // ---- relational side -------------------------------------------------
@@ -388,9 +350,6 @@ impl Workbook {
 
     fn execute_stmt(&mut self, stmt: Statement) -> DsResult<QueryResult> {
         let _span = self.obs.tracer.span("sql_execute");
-        // Fold pending grid edits first: RANGEVALUE/RANGETABLE must see
-        // computed formula results, not stale caches.
-        self.flush_grid();
         let is_dml = matches!(
             stmt,
             Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. }
@@ -443,20 +402,27 @@ impl Workbook {
                 }
             }
         }
-        if result.is_ok() {
-            self.after_statement(&ddl_info)?;
+        let result = self.edit(|wb| {
+            if result.is_ok() {
+                wb.after_statement(&ddl_info)?;
+            }
             if is_dml || is_ddl {
                 // Table-side changes flow back into bound regions, and the
-                // formulas watching them recompute.
-                self.sync_bindings()?;
-                self.flush_grid();
+                // boundary recomputes the formulas watching them. The rows
+                // a failed statement applied stay (see above), so they
+                // sync too; the statement's error outranks a sync error.
+                let synced = wb.refresh_bindings();
+                if result.is_ok() {
+                    synced?;
+                }
             }
-            if matches!(ddl_info, DdlInfo::Alter { .. }) && self.store.is_some() {
-                // ALTER TABLE is still checkpoint-persisted (schema changes
-                // of existing tables are snapshot state, not logged — except
-                // the CREATE-carried schema).
-                self.checkpoint()?;
-            }
+            result
+        });
+        if result.is_ok() && matches!(ddl_info, DdlInfo::Alter { .. }) && self.store.is_some() {
+            // ALTER TABLE is still checkpoint-persisted (schema changes of
+            // existing tables are snapshot state, not logged — except the
+            // CREATE-carried schema).
+            self.checkpoint()?;
         }
         result
     }
@@ -606,30 +572,18 @@ impl Workbook {
     // ---- positional references ------------------------------------------
 
     /// The scalar at an A1 reference (`B2` or `Data!B2`) — the engine-side
-    /// implementation of `RANGEVALUE`. Pending recomputation is folded in
-    /// first, so formula cells read their computed value.
-    pub fn range_value(&mut self, a1: &str) -> DsResult<Value> {
-        self.flush_grid();
-        let ctx = SheetCtx {
-            sheets: &self.sheets,
-            by_name: &self.by_name,
-            current: self.current,
-        };
-        ctx.range_value(a1)
+    /// implementation of `RANGEVALUE`. Formula cells read their computed
+    /// value.
+    pub fn range_value(&self, a1: &str) -> DsResult<Value> {
+        self.sheet_ctx().range_value(a1)
     }
 
     /// A region as a relation (`A1:C10` or `Data!A1:C10`) — the engine-side
     /// implementation of `RANGETABLE`. Header row is used for column names
     /// when every cell of the first row is non-blank text; otherwise columns
     /// are named by their sheet letters.
-    pub fn range_table(&mut self, a1: &str) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
-        self.flush_grid();
-        let ctx = SheetCtx {
-            sheets: &self.sheets,
-            by_name: &self.by_name,
-            current: self.current,
-        };
-        ctx.range_table(a1)
+    pub fn range_table(&self, a1: &str) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
+        self.sheet_ctx().range_table(a1)
     }
 
     // ---- import / export -------------------------------------------------
@@ -647,8 +601,6 @@ impl Workbook {
         headers: bool,
     ) -> DsResult<usize> {
         self.ensure_writable()?;
-        // Imported cells must be computed values, not stale formula caches.
-        self.flush_grid();
         let matrix = self.sheets[sheet.0].region(range);
         let (names, data) = if headers {
             if matrix.is_empty() {
@@ -724,9 +676,8 @@ impl Workbook {
         }
         drop(t);
         let height = rows.len().max(1) as u32;
-        self.sheets[sheet.0].set_region(at, &rows)?;
-        // Formulas watching the exported region recompute now.
-        self.flush_grid();
+        // Formulas watching the exported region recompute at the boundary.
+        self.edit(|wb| wb.sheets[sheet.0].set_region(at, &rows))?;
         Ok(Range::from_bounds(
             at.row,
             at.col,
@@ -747,17 +698,18 @@ impl Workbook {
         row: Vec<Value>,
     ) -> DsResult<RowKey> {
         self.ensure_writable()?;
-        let key = self.catalog.get_mut(table)?.insert_at(pos, row)?;
-        // Bound regions displaying this table grow by one row.
-        self.sync_bindings()?;
-        self.flush_grid();
-        Ok(key)
+        self.edit(|wb| {
+            let key = wb.catalog.get_mut(table)?.insert_at(pos, row)?;
+            // Bound regions displaying this table grow by one row.
+            wb.refresh_bindings()?;
+            Ok(key)
+        })
     }
 
     /// Fetch the window of rows displayed at `[pos, pos + count)` — the query
     /// the front-end issues as the user scrolls.
     pub fn fetch_window(
-        &mut self,
+        &self,
         table: &str,
         pos: usize,
         count: usize,
@@ -979,7 +931,7 @@ mod tests {
     fn range_value_reads_live_cells() {
         let mut wb = Workbook::new();
         let s1 = wb.current_sheet();
-        wb.sheet_mut(s1).set_input(a("B2"), "42").unwrap();
+        wb.set_input(s1, a("B2"), "42").unwrap();
         assert_eq!(wb.range_value("B2").unwrap(), Value::Int(42));
         assert_eq!(wb.range_value("Sheet1!B2").unwrap(), Value::Int(42));
         assert_eq!(wb.range_value("Z99").unwrap(), Value::Empty);
@@ -991,7 +943,7 @@ mod tests {
     fn range_value_refuses_error_cells() {
         let mut wb = Workbook::new();
         let s1 = wb.current_sheet();
-        wb.sheet_mut(s1).set_input(a("A1"), "#REF!").unwrap();
+        wb.set_input(s1, a("A1"), "#REF!").unwrap();
         assert!(wb.range_value("A1").is_err());
     }
 
@@ -999,15 +951,15 @@ mod tests {
     fn range_table_header_inference() {
         let mut wb = Workbook::new();
         let s1 = wb.current_sheet();
-        wb.sheet_mut(s1)
-            .set_region(
-                a("A1"),
-                &[
-                    vec![Value::text("id"), Value::text("name")],
-                    vec![Value::Int(1), Value::text("ada")],
-                ],
-            )
-            .unwrap();
+        wb.set_region(
+            s1,
+            a("A1"),
+            &[
+                vec![Value::text("id"), Value::text("name")],
+                vec![Value::Int(1), Value::text("ada")],
+            ],
+        )
+        .unwrap();
         let (cols, rows) = wb.range_table("A1:B2").unwrap();
         assert_eq!(cols, vec!["id", "name"]);
         assert_eq!(rows, vec![vec![Value::Int(1), Value::text("ada")]]);
@@ -1021,16 +973,16 @@ mod tests {
     fn import_infers_schema_and_order() {
         let mut wb = Workbook::new();
         let s1 = wb.current_sheet();
-        wb.sheet_mut(s1)
-            .set_region(
-                a("A1"),
-                &[
-                    vec![Value::text("id"), Value::text("score")],
-                    vec![Value::Int(1), Value::Float(3.5)],
-                    vec![Value::Int(2), Value::Int(4)],
-                ],
-            )
-            .unwrap();
+        wb.set_region(
+            s1,
+            a("A1"),
+            &[
+                vec![Value::text("id"), Value::text("score")],
+                vec![Value::Int(1), Value::Float(3.5)],
+                vec![Value::Int(2), Value::Int(4)],
+            ],
+        )
+        .unwrap();
         let n = wb
             .import_region(s1, Range::parse_a1("A1:B3").unwrap(), "scores", true)
             .unwrap();
@@ -1051,16 +1003,16 @@ mod tests {
     fn export_writes_grid() {
         let mut wb = Workbook::new();
         let s1 = wb.current_sheet();
-        wb.sheet_mut(s1)
-            .set_region(
-                a("A1"),
-                &[
-                    vec![Value::text("x")],
-                    vec![Value::Int(7)],
-                    vec![Value::Int(8)],
-                ],
-            )
-            .unwrap();
+        wb.set_region(
+            s1,
+            a("A1"),
+            &[
+                vec![Value::text("x")],
+                vec![Value::Int(7)],
+                vec![Value::Int(8)],
+            ],
+        )
+        .unwrap();
         wb.import_region(s1, Range::parse_a1("A1:A3").unwrap(), "t", true)
             .unwrap();
         let out = wb.add_sheet("Out").unwrap();

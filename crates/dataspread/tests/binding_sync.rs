@@ -482,12 +482,22 @@ fn vlookup_into_bound_region() {
 
 // ---- convergence property suite ------------------------------------------
 
-/// Random interleavings of bound-cell edits, SQL DML, positional DML, and
-/// structural grid edits: the grid and the table must stay two views of one
-/// store, and the incremental recompute must equal a full recalculation.
+/// Cases per run: `DSP_STRESS_ITERS` (default 40), the knob CI's stress
+/// job raises.
+fn iters() -> u64 {
+    std::env::var("DSP_STRESS_ITERS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(40)
+}
+
+/// Random interleavings of bound-cell edits, SQL DML (failing statements
+/// included), positional DML, and structural grid edits: the grid and the
+/// table must stay two views of one store, and the incremental recompute
+/// must equal a full recalculation.
 #[test]
 fn convergence_under_random_interleavings() {
-    testkit::cases(40, 0xB17D, |rng| {
+    testkit::cases(iters(), 0xB17D, |rng| {
         let mut wb = Workbook::new();
         wb.execute("CREATE TABLE t (a INT, b INT)").unwrap();
         let s = wb.current_sheet();
@@ -504,7 +514,7 @@ fn convergence_under_random_interleavings() {
         let mut next = 0i64;
         for _ in 0..rng.index(25) + 5 {
             let nrows = wb.catalog().get("t").unwrap().row_count();
-            match rng.below(8) {
+            match rng.below(9) {
                 // SQL append.
                 0 | 1 => {
                     next += 1;
@@ -522,6 +532,15 @@ fn convergence_under_random_interleavings() {
                 3 => {
                     wb.execute(&format!("DELETE FROM t WHERE a = {}", rng.index(12) + 1))
                         .unwrap();
+                }
+                // A multi-row INSERT whose second row fails: statements are
+                // not atomic, so the first row stays and must reach the
+                // region (and the formula over it) all the same.
+                8 => {
+                    next += 1;
+                    let sql = format!("INSERT INTO t VALUES ({next}, {next}), ({}, 'x')", next + 1);
+                    assert!(wb.execute(&sql).is_err());
+                    assert_eq!(wb.catalog().get("t").unwrap().row_count(), nrows + 1);
                 }
                 // Positional insert.
                 4 => {
@@ -616,7 +635,7 @@ fn unbind_freeze_is_durable() {
     assert!(wb.binding_meta(id).is_none());
     drop(wb);
 
-    let mut wb = Workbook::open(&dir).unwrap();
+    let wb = Workbook::open(&dir).unwrap();
     let s = wb.current_sheet();
     assert!(wb.binding_ids().is_empty(), "BindDrop replayed");
     assert_eq!(

@@ -250,10 +250,12 @@ fn group_committed_writes_are_durable() {
         h.join().unwrap();
     }
     let wb = shared.try_into_inner().expect("last handle");
-    let stats = wb.group_commit_stats().unwrap();
-    assert!(stats.commits >= (WRITERS * n) as u64, "{stats:?}");
-    assert!(stats.fsyncs >= 1, "{stats:?}");
-    assert!(stats.fsyncs <= stats.commits, "{stats:?}");
+    let snap = wb.metrics_snapshot();
+    let commits = snap.counter("wal_commits").unwrap();
+    let fsyncs = snap.counter("wal_fsyncs").unwrap();
+    assert!(commits >= (WRITERS * n) as u64, "{commits} commits");
+    assert!(fsyncs >= 1, "{fsyncs} fsyncs");
+    assert!(fsyncs <= commits, "{fsyncs} fsyncs > {commits} commits");
     drop(wb); // crash-shaped exit: no checkpoint, recovery is WAL replay
 
     let wb = Workbook::open(&dir).unwrap();

@@ -151,10 +151,10 @@ fn incremental_touches_only_downstream_formulas() {
         wb.set_input(s, CellAddr::new(i + 20, 0), &format!("=Z{}+1", i + 100))
             .unwrap();
     }
-    let before = wb.calc_stats().cells_recomputed;
+    let before = recomputed(&wb);
     let visited_before = visited(&wb);
     wb.set_input(s, CellAddr::new(0, 0), "10").unwrap();
-    let touched = wb.calc_stats().cells_recomputed - before;
+    let touched = recomputed(&wb) - before;
     assert_eq!(
         touched, 3,
         "editing A1 must recompute exactly B1, B2, C1 — not the 50 unrelated formulas"
@@ -168,6 +168,13 @@ fn incremental_touches_only_downstream_formulas() {
         wb.cell(s, CellAddr::parse_a1("C1").unwrap()),
         Value::Int(31)
     );
+}
+
+/// Formula cells evaluated (or poisoned with `#CYCLE!`) so far.
+fn recomputed(wb: &Workbook) -> u64 {
+    wb.metrics_snapshot()
+        .counter("calc_cells_recomputed")
+        .unwrap_or(0)
 }
 
 /// Formula cells any recompute pass has examined so far.

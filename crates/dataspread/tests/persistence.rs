@@ -367,7 +367,7 @@ fn sheet_edit_wal_truncation_recovers_a_prefix() {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::copy(base.join(DATA_FILE), dir.join(DATA_FILE)).unwrap();
         std::fs::write(dir.join(WAL_FILE), &wal_bytes[..cut]).unwrap();
-        let mut wb = Workbook::open(&dir).unwrap();
+        let wb = Workbook::open(&dir).unwrap();
         let s = wb.current_sheet();
         let state: Vec<Value> = probe.iter().map(|p| wb.cell(s, a(p))).collect();
         assert!(
@@ -381,9 +381,10 @@ fn sheet_edit_wal_truncation_recovers_a_prefix() {
 
 #[test]
 fn replayed_formulas_typed_after_structural_edits_keep_coordinates() {
-    // Crash recovery replays the WAL tail as one batch. A formula logged
-    // AFTER a structural edit already refers to post-edit coordinates; the
-    // recovery flush must not shift it a second time.
+    // Crash recovery replays the WAL tail in log order. A formula logged
+    // AFTER a structural edit already refers to post-edit coordinates and
+    // must not be shifted a second time; one logged BEFORE a cross-sheet
+    // edit must be shifted by it exactly once.
     let dir = tmp_dir("replayorder");
     let mut wb = build_workbook();
     let data = {
@@ -395,6 +396,10 @@ fn replayed_formulas_typed_after_structural_edits_keep_coordinates() {
     wb.insert_rows(data, 0, 1).unwrap(); // A5 → A6
     wb.set_input(s, a("B1"), "=Data!A6").unwrap(); // post-shift coordinates
     assert_eq!(wb.cell(s, a("B1")), Value::Int(9));
+    wb.set_input(data, a("A10"), "4").unwrap();
+    wb.set_input(s, a("B2"), "=Data!A10").unwrap(); // pre-shift coordinates
+    wb.insert_rows(data, 7, 2).unwrap(); // A10 → A12; A6 stays
+    assert_eq!(wb.formula_text(s, a("B2")), Some("=Data!A12"));
 
     let crashed = tmp_dir("replayorder-crashed");
     std::fs::create_dir_all(&crashed).unwrap();
@@ -403,7 +408,7 @@ fn replayed_formulas_typed_after_structural_edits_keep_coordinates() {
     }
     drop(wb);
 
-    let mut wb = Workbook::open(&crashed).unwrap();
+    let wb = Workbook::open(&crashed).unwrap();
     let s = wb.current_sheet();
     assert_eq!(
         wb.formula_text(s, a("B1")),
@@ -411,6 +416,12 @@ fn replayed_formulas_typed_after_structural_edits_keep_coordinates() {
         "recovery must not double-shift a formula typed after the edit"
     );
     assert_eq!(wb.cell(s, a("B1")), Value::Int(9));
+    assert_eq!(
+        wb.formula_text(s, a("B2")),
+        Some("=Data!A12"),
+        "recovery must shift a formula typed before the edit exactly once"
+    );
+    assert_eq!(wb.cell(s, a("B2")), Value::Int(4));
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&crashed).unwrap();
 }
@@ -542,14 +553,19 @@ fn reopened_workbook_recomputes_dependents_incrementally() {
     let mut wb = Workbook::open(&dir).unwrap();
     let s = wb.current_sheet();
     assert_eq!(wb.formula_text(s, a("C1")), Some("=B20*10"));
-    let before = wb.calc_stats().cells_recomputed;
+    let recomputed = |wb: &Workbook| {
+        wb.metrics_snapshot()
+            .counter("calc_cells_recomputed")
+            .unwrap()
+    };
+    let before = recomputed(&wb);
     wb.set_input(s, a("A1"), "100").unwrap();
     for r in 1..=20 {
         assert_eq!(wb.cell(s, a(&format!("B{r}"))), Value::Int(100 + r));
     }
     assert_eq!(wb.cell(s, a("C1")), Value::Int(1200), "replayed dependent");
     assert_eq!(
-        wb.calc_stats().cells_recomputed - before,
+        recomputed(&wb) - before,
         21,
         "exactly the chain and the replayed formula recompute"
     );

@@ -55,8 +55,6 @@ pub use table::{GroupPolicy, RowIter, SnapRowIter, Table, TableSnapshot, TableSt
 pub use vfs::{
     os_vfs, FaultKind, FaultPlan, FaultStats, FaultVfs, OsVfs, RecoveryImage, Vfs, VfsFile,
 };
-pub use wal::{
-    GridEditKind, GroupCommitStats, SheetCellContent, WalCounters, WalOp, WalRecord, WalWriter,
-};
+pub use wal::{GridEditKind, SheetCellContent, WalCounters, WalOp, WalRecord, WalWriter};
 
 pub use dataspread_posindex::RowKey;

@@ -15,8 +15,8 @@
 //! Followers merely wait until the synced watermark passes their commit
 //! offset. N contended committers therefore pay ~1–2 `fsync`s instead of N,
 //! while a single-threaded committer still gets exactly one `fsync` per
-//! commit. [`WalWriter::group_commit_stats`] exposes the commit/fsync
-//! counters so benches and tests can observe the batching.
+//! commit. [`WalWriter::counters`] exposes the commit/fsync counters so
+//! benches and tests can observe the batching.
 //!
 //! Recovery (see [`scan_wal`] and [`apply_committed`]) is ARIES-lite, redo
 //! only: scan the log from the front, stop at the first torn or corrupt
@@ -626,15 +626,6 @@ struct SyncState {
     syncing: bool,
 }
 
-/// Monotonic counters for observing group-commit batching.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GroupCommitStats {
-    /// Transactions committed (explicit commits plus autocommits).
-    pub commits: u64,
-    /// `fsync` calls issued. Under contention this is far below `commits`.
-    pub fsyncs: u64,
-}
-
 /// Clonable handles to this writer's counters, so a metrics registry can
 /// expose them without routing the append path through a lookup.
 #[derive(Clone, Debug, Default)]
@@ -867,14 +858,6 @@ impl WalWriter {
             }
             self.sync_cv.notify_all();
             res.map_err(|e| DsError::io("wal sync", &self.path, None, &e))?;
-        }
-    }
-
-    /// Commit/fsync counters since this writer was created.
-    pub fn group_commit_stats(&self) -> GroupCommitStats {
-        GroupCommitStats {
-            commits: self.counters.commits.get(),
-            fsyncs: self.counters.fsyncs.get(),
         }
     }
 
@@ -1314,9 +1297,13 @@ mod tests {
         for i in 0..5 {
             w.log(op(i)).unwrap();
         }
-        let s = w.group_commit_stats();
-        assert_eq!(s.commits, 5);
-        assert_eq!(s.fsyncs, 5, "uncontended autocommit pays its own fsync");
+        let c = w.counters();
+        assert_eq!(c.commits.get(), 5);
+        assert_eq!(
+            c.fsyncs.get(),
+            5,
+            "uncontended autocommit pays its own fsync"
+        );
         drop(w);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1326,12 +1313,12 @@ mod tests {
         let path = tmp("gc-watermark");
         let w = WalWriter::create(&path, 1).unwrap();
         w.log(op(1)).unwrap();
-        let before = w.group_commit_stats().fsyncs;
+        let before = w.counters().fsyncs.get();
         // Already durable: a sync request at or below the watermark is free.
         let target = w.inner().len;
         w.group_sync(target).unwrap();
         w.group_sync(WAL_HEADER_SIZE).unwrap();
-        assert_eq!(w.group_commit_stats().fsyncs, before);
+        assert_eq!(w.counters().fsyncs.get(), before);
         drop(w);
         std::fs::remove_file(&path).unwrap();
     }
@@ -1356,9 +1343,9 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let s = w.group_commit_stats();
-        assert_eq!(s.commits, THREADS * OPS);
-        assert!(s.fsyncs >= 1 && s.fsyncs <= s.commits);
+        let (commits, fsyncs) = (w.counters().commits.get(), w.counters().fsyncs.get());
+        assert_eq!(commits, THREADS * OPS);
+        assert!(fsyncs >= 1 && fsyncs <= commits);
         drop(w);
         let scan = scan_wal(&path).unwrap().unwrap();
         let mut keys: Vec<u64> = committed_ops(&scan)

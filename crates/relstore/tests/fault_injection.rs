@@ -104,7 +104,7 @@ fn fsync_failure_poisons_writer_and_keeps_acked_prefix() {
 
     // Sticky: later commits fail typed, without ever touching the disk
     // again (the failed fsync is never reissued).
-    let fsyncs_after_failure = w.group_commit_stats().fsyncs;
+    let fsyncs_after_failure = w.counters().fsyncs.get();
     let err = w.log(op(3)).unwrap_err();
     assert!(
         err.is_read_only(),
@@ -112,7 +112,7 @@ fn fsync_failure_poisons_writer_and_keeps_acked_prefix() {
     );
     assert!(w.begin().unwrap_err().is_read_only());
     assert_eq!(
-        w.group_commit_stats().fsyncs,
+        w.counters().fsyncs.get(),
         fsyncs_after_failure,
         "no fsync may be issued after poison"
     );
@@ -201,7 +201,7 @@ fn short_write_is_truncated_away_and_log_stays_usable() {
     let w = WalWriter::create_with(&vfs, &wal_path, 1).unwrap();
 
     w.log(op(1)).unwrap();
-    let fsyncs_before = w.group_commit_stats().fsyncs;
+    let fsyncs_before = w.counters().fsyncs.get();
 
     // Tear the next write (ENOSPC mid-buffer).
     fault.set_plan(FaultPlan {
@@ -222,7 +222,7 @@ fn short_write_is_truncated_away_and_log_stays_usable() {
     }
     assert!(!w.is_poisoned(), "a repaired torn append is not sticky");
     assert_eq!(
-        w.group_commit_stats().fsyncs,
+        w.counters().fsyncs.get(),
         fsyncs_before,
         "the sync watermark must not advance over a torn append"
     );
