@@ -24,7 +24,7 @@ use std::collections::{BTreeSet, HashMap};
 use dataspread_sql::ast::{BinOp, JoinKind};
 use dataspread_sql::expr::BExpr;
 use dataspread_sql::planner::{cols_of, extract_equi_keys, remap_cols};
-use dataspread_types::Value;
+use dataspread_types::{Range, Value};
 
 use super::planner::{JoinPlan, Plan, Strategy};
 
@@ -74,20 +74,30 @@ pub(crate) fn estimate(plan: &Plan) -> Est {
         Plan::RangeScan {
             a1, width, filters, ..
         } => {
-            let base = a1_height(a1) as f64;
+            // The live resolver rejects a reference that does not parse
+            // while planning; only a static test resolver reaches the
+            // 100-row fallback.
+            let rest = a1.rsplit_once('!').map_or(a1.as_str(), |(_, r)| r);
+            let base = Range::parse_a1(rest.trim()).map_or(100.0, |r| r.height() as f64);
             let rows = apply_filters(base, filters, |_| None);
             let mut ndv = vec![base.max(1.0); *width];
             cap_ndv(&mut ndv, rows);
             Est { rows, ndv }
         }
-        Plan::Derived {
-            rows,
-            width,
-            filters,
-        } => {
-            let base = rows.len() as f64;
+        Plan::Derived { sub, filters } => {
+            // The subquery's own plan, shaped as it will run: its
+            // column-free filters, at most one row per group, its LIMIT.
+            let input = estimate(&sub.plan);
+            let mut base = apply_filters(input.rows, &sub.top_filters, |_| None);
+            if sub.grouped {
+                let groups = sub.key_exprs.iter().map(|k| ndv_of(k, &input));
+                base = base.min(groups.product());
+            }
+            if let Some(limit) = sub.limit {
+                base = base.min(limit as f64);
+            }
             let est_rows = apply_filters(base, filters, |_| None);
-            let mut ndv = vec![base.max(1.0); *width];
+            let mut ndv = vec![base.max(1.0); sub.proj.len()];
             cap_ndv(&mut ndv, est_rows);
             Est {
                 rows: est_rows,
@@ -226,37 +236,21 @@ fn eq_selectivity(a: &BExpr, b: &BExpr, col_info: &impl Fn(usize) -> Option<(f64
         .map_or(SEL_EQ_DEFAULT, |(ndv, _)| 1.0 / ndv.max(1.0))
 }
 
-/// Rows spanned by an A1 range literal (`"A1:D100"` → 100); single cells are
-/// one row, unparsable ranges assume a small default.
-fn a1_height(a1: &str) -> usize {
-    let range = a1.rsplit('!').next().unwrap_or(a1);
-    let row_of = |part: &str| -> Option<i64> {
-        let digits: String = part.chars().filter(char::is_ascii_digit).collect();
-        digits.parse().ok()
-    };
-    match range.split_once(':') {
-        Some((lo, hi)) => match (row_of(lo), row_of(hi)) {
-            (Some(a), Some(b)) => ((a - b).unsigned_abs() as usize) + 1,
-            _ => 100,
-        },
-        None => 1,
-    }
-}
-
 // ---- join reordering ------------------------------------------------------
 
 /// Reorder every inner equi-join chain in `plan` by estimated cardinality.
-/// `width` is the node's output width (needed because `Derived` leaves do
-/// not record theirs).
-pub(crate) fn optimize(plan: &mut Plan, width: usize) {
+/// A `FROM` subquery was optimized when it was planned, so leaves other
+/// than joins are left as they are.
+pub(crate) fn optimize(plan: &mut Plan) {
     let Plan::Join(j) = plan else { return };
     if !reorderable(j) {
         // A pinned join (LEFT / NATURAL): recurse into its inputs only.
-        let (lw, rw) = (j.left_width, j.right_width);
-        optimize(&mut j.left, lw);
-        optimize(&mut j.right, rw);
+        optimize(&mut j.left);
+        optimize(&mut j.right);
         return;
     }
+    // Identity emit: the chain's width is its two inputs'.
+    let width = j.left_width + j.right_width;
     let chain = std::mem::replace(plan, Plan::Dual);
     *plan = reorder_chain(chain, width);
 }
@@ -313,7 +307,7 @@ fn flatten(plan: Plan, width: usize, start: usize, leaves: &mut Vec<Leaf>, conjs
             flatten(right, width - left_width, start + left_width, leaves, conjs);
         }
         mut other => {
-            optimize(&mut other, width);
+            optimize(&mut other);
             leaves.push(Leaf {
                 plan: other,
                 start,

@@ -12,43 +12,37 @@ use super::Prepared;
 use dataspread_sql::ast::JoinKind;
 
 /// Render the shaping stages (top) and the plan tree (bottom) as one line
-/// per row of `EXPLAIN` output.
-pub(crate) fn render(
-    p: &Prepared,
-    distinct: bool,
-    offset: usize,
-    limit: Option<usize>,
-) -> Vec<String> {
-    render_with_marks(p, distinct, offset, limit).0
+/// per row of `EXPLAIN` output, also returning the output index of every
+/// plan-node line in pre-order (self, then a derived node's sub-plan or a
+/// join's left and right) — the same order `planner::build` allocates node
+/// meters, so `EXPLAIN ANALYZE` can pair them by position.
+pub(crate) fn render_with_marks(p: &Prepared) -> (Vec<String>, Vec<usize>) {
+    let (mut out, mut marks) = (Vec::new(), Vec::new());
+    prepared(p, 0, &mut out, &mut marks);
+    (out, marks)
 }
 
-/// [`render`], also returning the output index of every plan-node line in
-/// pre-order (self, left, right) — the same order `planner::build`
-/// allocates node meters, so `EXPLAIN ANALYZE` can pair them by position.
-pub(crate) fn render_with_marks(
-    p: &Prepared,
-    distinct: bool,
-    offset: usize,
-    limit: Option<usize>,
-) -> (Vec<String>, Vec<usize>) {
-    let mut out = Vec::new();
+/// One `SELECT`'s lines at `depth`: a `FROM` subquery renders here too,
+/// one level under its `derived` line.
+fn prepared(p: &Prepared, depth: usize, out: &mut Vec<String>, marks: &mut Vec<usize>) {
+    let pad = "  ".repeat(depth);
     let names: Vec<&str> = p.proj.iter().map(|(_, n)| n.as_str()).collect();
-    out.push(format!("project: {}", names.join(", ")));
-    if distinct {
-        out.push("distinct".to_string());
+    out.push(format!("{pad}project: {}", names.join(", ")));
+    if p.distinct {
+        out.push(format!("{pad}distinct"));
     }
     if !p.order.is_empty() {
-        out.push(format!("sort: {} keys", p.order.len()));
+        out.push(format!("{pad}sort: {} keys", p.order.len()));
     }
-    match (limit, offset) {
-        (Some(l), 0) => out.push(format!("limit: {l}")),
-        (Some(l), o) => out.push(format!("limit: {l} offset: {o}")),
-        (None, o) if o > 0 => out.push(format!("offset: {o}")),
+    match (p.limit, p.offset) {
+        (Some(l), 0) => out.push(format!("{pad}limit: {l}")),
+        (Some(l), o) => out.push(format!("{pad}limit: {l} offset: {o}")),
+        (None, o) if o > 0 => out.push(format!("{pad}offset: {o}")),
         _ => {}
     }
     if p.grouped {
         let mut line = format!(
-            "aggregate: {} groups, {} aggregates",
+            "{pad}aggregate: {} groups, {} aggregates",
             p.key_exprs.len(),
             p.specs.len()
         );
@@ -58,11 +52,9 @@ pub(crate) fn render_with_marks(
         out.push(line);
     }
     if !p.top_filters.is_empty() {
-        out.push(format!("filter: {} predicates", p.top_filters.len()));
+        out.push(format!("{pad}filter: {} predicates", p.top_filters.len()));
     }
-    let mut marks = Vec::new();
-    node(&p.plan, 0, &mut out, &mut marks);
-    (out, marks)
+    node(&p.plan, depth, out, marks);
 }
 
 fn est_of(plan: &Plan) -> u64 {
@@ -104,12 +96,13 @@ fn node(plan: &Plan, depth: usize, out: &mut Vec<String>, marks: &mut Vec<usize>
             }
             out.push(line);
         }
-        Plan::Derived { rows, filters, .. } => {
-            let mut line = format!("{pad}derived rows={}", rows.len());
+        Plan::Derived { sub, filters } => {
+            let mut line = format!("{pad}derived");
             if !filters.is_empty() {
                 line.push_str(&format!(" filters={}", filters.len()));
             }
-            out.push(line);
+            out.push(format!("{line} est~{}", est_of(plan)));
+            prepared(sub, depth + 1, out, marks);
         }
         Plan::Join(j) => {
             let prefix = if j.kind == JoinKind::Left {

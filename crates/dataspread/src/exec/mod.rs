@@ -1,9 +1,5 @@
 //! The streaming `SELECT` executor: plan → operator pipeline → output.
 //!
-//! PR 1's executor materialized every intermediate relation and joined by
-//! nested loops — a 10k×10k equi-join cost 10⁸ row comparisons. This module
-//! replaces it with a small operator pipeline:
-//!
 //! ```text
 //!   FROM tree ──► Plan (planner.rs)        WHERE ──► conjuncts
 //!                   │  ▲                              │
@@ -130,8 +126,9 @@ pub(crate) fn passes(preds: &[BExpr], row: &[Value]) -> DsResult<bool> {
 }
 
 /// A `SELECT` planned up to (but not including) stream construction:
-/// everything `run_select` needs to execute, and everything `EXPLAIN`
-/// needs to render.
+/// everything `execute_prepared` needs to run it, and everything `EXPLAIN`
+/// needs to render. Planning reads snapshots and statistics only; nothing
+/// here has executed, `FROM` subqueries included.
 pub(crate) struct Prepared {
     pub(crate) plan: Plan,
     pub(crate) width: usize,
@@ -142,10 +139,14 @@ pub(crate) struct Prepared {
     pub(crate) having: Option<BExpr>,
     pub(crate) proj: Vec<(BExpr, String)>,
     pub(crate) order: Vec<(output::SortSrc, bool)>,
+    pub(crate) distinct: bool,
+    pub(crate) offset: usize,
+    pub(crate) limit: Option<usize>,
 }
 
 /// Plan one `SELECT`: FROM tree, predicate pushdown, the hash-key upgrade,
-/// cost-based join reordering, binding, and used-column marking.
+/// cost-based join reordering, binding, used-column marking, and the
+/// `(OFFSET, LIMIT)` window.
 pub(crate) fn prepare_select(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> DsResult<Prepared> {
     // FROM tree → plan + output schema. `SELECT 1+1` runs over one
     // anonymous empty row.
@@ -174,7 +175,7 @@ pub(crate) fn prepare_select(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> DsResult<Pr
     plan.upgrade_hash_joins();
     // With keys in place, reorder inner join chains by estimated
     // cardinality: smallest intermediate first, smaller input building.
-    cost::optimize(&mut plan, cols.len());
+    cost::optimize(&mut plan);
 
     // Aggregate discovery across projection, HAVING, and ORDER BY.
     let mut agg_exprs: Vec<Expr> = Vec::new();
@@ -242,6 +243,7 @@ pub(crate) fn prepare_select(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> DsResult<Pr
         Used::Cols(set)
     };
     plan.mark_used(used);
+    let (offset, limit) = window(sel, ctx.resolver)?;
 
     Ok(Prepared {
         plan,
@@ -253,6 +255,9 @@ pub(crate) fn prepare_select(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> DsResult<Pr
         having,
         proj,
         order,
+        distinct: sel.distinct,
+        offset,
+        limit,
     })
 }
 
@@ -261,20 +266,15 @@ pub(crate) fn run_select(
     ctx: &ExecCtx<'_>,
     sel: &SelectStmt,
 ) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
-    let prepared = prepare_select(ctx, sel)?;
-    let window = window(sel, ctx.resolver)?;
-    execute_prepared(ctx, sel, prepared, window, None)
+    execute_prepared(ctx, prepare_select(ctx, sel)?, None)
 }
 
-/// Execute an already-prepared `SELECT` over its `(OFFSET, LIMIT)` window.
-/// With `meters`, every plan node's stream is wrapped to record actual
-/// rows, loops, and wall time (the `EXPLAIN ANALYZE` path); without, the
-/// pipeline runs unwrapped.
+/// Execute a prepared `SELECT`. With `meters`, every plan node's stream is
+/// wrapped to record actual rows, loops, and wall time (the `EXPLAIN
+/// ANALYZE` path); without, the pipeline runs unwrapped.
 fn execute_prepared(
     ctx: &ExecCtx<'_>,
-    sel: &SelectStmt,
     prepared: Prepared,
-    (offset, limit): (usize, Option<usize>),
     meters: Option<&mut Vec<Arc<NodeMeter>>>,
 ) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
     let Prepared {
@@ -287,6 +287,9 @@ fn execute_prepared(
         having,
         proj,
         order,
+        distinct,
+        offset,
+        limit,
     } = prepared;
     ctx.metrics.queries.bump();
 
@@ -303,7 +306,7 @@ fn execute_prepared(
         // Streaming early exit: the window is known up front, so with no
         // ordering, dedup, or grouping only the first OFFSET+LIMIT rows can
         // reach the output.
-        let bound = match (limit, order.is_empty(), sel.distinct) {
+        let bound = match (limit, order.is_empty(), distinct) {
             (Some(l), true, false) => offset.saturating_add(l),
             _ => usize::MAX,
         };
@@ -328,19 +331,16 @@ fn execute_prepared(
         contexts = kept;
     }
 
-    let rows = output::finish(contexts, &proj, &order, sel.distinct, offset, limit)?;
+    let rows = output::finish(contexts, &proj, &order, distinct, offset, limit)?;
     ctx.metrics.rows_output.add(rows.len() as u64);
     Ok((proj.into_iter().map(|(_, n)| n).collect(), rows))
 }
 
 /// Plan one `SELECT` and render the chosen physical plan as text lines
-/// (`EXPLAIN`). The outer plan is not executed, but planning materializes
-/// `FROM` subqueries (they are `Derived` leaves), so an expensive derived
-/// table still runs under `EXPLAIN`.
+/// (`EXPLAIN`). Nothing runs: a `FROM` subquery renders as a nested plan
+/// under its `derived` line, estimated from that plan.
 pub(crate) fn explain_select(ctx: &ExecCtx<'_>, sel: &SelectStmt) -> DsResult<Vec<String>> {
-    let prepared = prepare_select(ctx, sel)?;
-    let (offset, limit) = window(sel, ctx.resolver)?;
-    Ok(explain::render(&prepared, sel.distinct, offset, limit))
+    Ok(explain::render_with_marks(&prepare_select(ctx, sel)?).0)
 }
 
 /// `EXPLAIN ANALYZE`: plan, render the `EXPLAIN` tree, *execute* the plan
@@ -353,14 +353,14 @@ pub(crate) fn analyze_select(
     sel: &SelectStmt,
 ) -> DsResult<(Vec<String>, Vec<Vec<Value>>)> {
     let prepared = prepare_select(ctx, sel)?;
-    let (offset, limit) = window(sel, ctx.resolver)?;
     // Skeleton first: rendering borrows the plan, execution consumes it.
-    // `render_with_marks` visits nodes in the same pre-order as
-    // `planner::build` allocates meters, so marks[i] pairs with meters[i].
-    let (mut lines, marks) = explain::render_with_marks(&prepared, sel.distinct, offset, limit);
+    // `render_with_marks` visits nodes (derived sub-plans included) in the
+    // same pre-order as `planner::build` allocates meters, so marks[i]
+    // pairs with meters[i].
+    let (mut lines, marks) = explain::render_with_marks(&prepared);
     let mut meters: Vec<Arc<NodeMeter>> = Vec::new();
     let started = Instant::now();
-    let (_, rows) = execute_prepared(ctx, sel, prepared, (offset, limit), Some(&mut meters))?;
+    let (_, rows) = execute_prepared(ctx, prepared, Some(&mut meters))?;
     let total_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     debug_assert_eq!(marks.len(), meters.len());
     for (mark, meter) in marks.iter().zip(&meters) {

@@ -34,7 +34,7 @@ use dataspread_types::{DsError, DsResult, Value};
 
 use super::join::{HashJoin, NestedLoopJoin};
 use super::scan::{range_scan, table_scan, FilterIter};
-use super::{run_select, ExecCtx, RowStream};
+use super::{execute_prepared, prepare_select, ExecCtx, Prepared, RowStream};
 
 /// Which join input a column comes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -78,11 +78,10 @@ pub(crate) enum Plan {
         filters: Vec<BExpr>,
         used: Used,
     },
-    /// Subquery in `FROM`, already evaluated. `width` is the logical column
-    /// count, which `rows` cannot reveal when the subquery returned nothing.
+    /// Subquery in `FROM`, planned but not run: [`build`] executes it when
+    /// the outer pipeline is built. Its output width is `sub.proj.len()`.
     Derived {
-        rows: Vec<Vec<Value>>,
-        width: usize,
+        sub: Box<Prepared>,
         filters: Vec<BExpr>,
     },
     Join(Box<JoinPlan>),
@@ -158,15 +157,13 @@ pub(crate) fn plan_from(ctx: &ExecCtx<'_>, te: &TableExpr) -> DsResult<(Plan, Ve
             ))
         }
         TableExpr::Subquery { query, alias } => {
-            let (names, rows) = run_select(ctx, query)?;
-            let cols: Vec<ColInfo> = names
-                .into_iter()
-                .map(|n| ColInfo::new(Some(alias.as_str()), n))
+            let sub = Box::new(prepare_select(ctx, query)?);
+            let cols = (sub.proj.iter())
+                .map(|(_, n)| ColInfo::new(Some(alias.as_str()), n.clone()))
                 .collect();
             Ok((
                 Plan::Derived {
-                    rows,
-                    width: cols.len(),
+                    sub,
                     filters: Vec::new(),
                 },
                 cols,
@@ -554,10 +551,14 @@ impl Iterator for MeterIter<'_> {
 
 /// Turn a plan into its operator pipeline.
 ///
+/// A `Derived` node runs its subquery here, to completion, so the sub-plan
+/// executes only when the outer pipeline does.
+///
 /// With `meters` (the `EXPLAIN ANALYZE` path), each node's post-filter
 /// stream is wrapped in a [`MeterIter`] and its meter pushed in *pre-order*
-/// (self, left, right) — the same order `explain::render` emits node lines,
-/// which is what lets the annotator pair meters with lines by index.
+/// (self, then a derived node's sub-plan or a join's left and right) — the
+/// same order `explain::render_with_marks` emits node lines, which is what
+/// lets the annotator pair meters with lines by index.
 pub(crate) fn build<'a>(
     plan: Plan,
     ctx: &ExecCtx<'a>,
@@ -590,7 +591,8 @@ pub(crate) fn build<'a>(
             );
             filtered(scan, filters)
         }
-        Plan::Derived { rows, filters, .. } => {
+        Plan::Derived { sub, filters } => {
+            let (_, rows) = execute_prepared(ctx, *sub, meters)?;
             filtered(Box::new(rows.into_iter().map(Ok)), filters)
         }
         Plan::Join(j) => {

@@ -470,11 +470,12 @@ fn rand_order_sensitive_input(rng: &mut testkit::Rng) -> String {
 }
 
 /// An aggregate over one of the case's shared ranges, sometimes in first
-/// position (one fold a pass may share), sometimes behind a scalar or a
-/// cell (a fold into a running accumulator), sometimes sheet-qualified.
+/// position (one fold a pass may share), sometimes behind a scalar (some
+/// written with an exponent) or a cell (a fold into a running
+/// accumulator), sometimes sheet-qualified.
 fn rand_shared_range_formula(rng: &mut testkit::Rng, pool: &[String], sheets: &[&str]) -> String {
     const AGGS: [&str; 5] = ["SUM", "AVG", "COUNT", "MIN", "MAX"];
-    const SCALARS: [&str; 4] = ["0.1", "2.5", "-3", "7"];
+    const SCALARS: [&str; 7] = ["0.1", "2.5", "-3", "7", "1e3", "2.5E-1", "1E+2"];
     let range = |rng: &mut testkit::Rng| {
         let r = &pool[rng.index(pool.len())];
         match rng.below(3) {
@@ -553,14 +554,13 @@ fn every_formula_shows_its_source_evaluated_alone() {
                         continue;
                     };
                     let shown = wb.sheet(s).value(addr);
-                    if matches!(
-                        shown,
-                        Value::Error(CellError::Cycle) | Value::Error(CellError::Name)
-                    ) {
+                    if matches!(shown, Value::Error(CellError::Cycle)) {
                         continue;
                     }
+                    // Every source the stream writes is valid, exponent
+                    // literals included: one that fails to parse is a bug.
                     let alone = Formula::parse(src)
-                        .unwrap()
+                        .unwrap_or_else(|e| panic!("step {step}: {src} does not parse: {e}"))
                         .eval(&CellByCell { wb: &wb, home: s });
                     assert!(
                         same_bits(&shown, &alone),

@@ -60,6 +60,8 @@ fn explain_analyze_actual_rows_match_select() {
         "SELECT DISTINCT grp FROM ev",
         "SELECT k FROM ev ORDER BY amt DESC LIMIT 3",
         "SELECT k FROM ev LIMIT 2 OFFSET 5",
+        "SELECT d.grp, d.s FROM (SELECT grp, SUM(amt) AS s FROM ev GROUP BY grp) d WHERE d.s > 60",
+        "SELECT d.k FROM (SELECT k, amt FROM ev ORDER BY amt DESC LIMIT 3) d WHERE d.amt < 80",
     ];
     let mut wb = seeded();
     for sql in corpus {
@@ -97,6 +99,59 @@ fn explain_analyze_annotates_every_plan_node() {
         .map(|l| actual_rows(l))
         .collect();
     assert_eq!(scans, vec![3, 6], "probe then build input sizes");
+
+    // A grouped derived table joined to `grp`: the derived node and the
+    // scan inside its subquery are annotated too, in plan order; the
+    // subquery's shaping lines (`project:`, `aggregate:`) are not.
+    let lines = analyze_lines(
+        &mut wb,
+        "SELECT d.grp, grp.name FROM (SELECT grp, COUNT(*) AS n FROM ev GROUP BY grp) d \
+         JOIN grp ON d.grp = grp.g",
+    );
+    let all = lines.join("\n");
+    let annotated = lines.iter().filter(|l| l.contains("actual rows=")).count();
+    assert_eq!(annotated, 5, "{all}");
+    let derived = (lines
+        .iter()
+        .position(|l| l.trim_start().starts_with("derived")))
+    .unwrap_or_else(|| panic!("no derived line\n{all}"));
+    assert_eq!(actual_rows(&lines[derived]), 3, "{all}");
+    for shaping in &lines[derived + 1..derived + 3] {
+        assert!(!shaping.contains("actual rows="), "{all}");
+    }
+    let inner_scan = &lines[derived + 3];
+    assert!(inner_scan.trim_start().starts_with("scan ev"), "{all}");
+    assert_eq!(actual_rows(inner_scan), 8, "{all}");
+}
+
+#[test]
+fn explain_never_executes() {
+    let mut wb = seeded();
+    let counters = |wb: &Workbook| {
+        let m = wb.metrics_snapshot();
+        let c = |n: &str| m.counter(n).unwrap();
+        (c("exec_queries"), c("exec_rows_scanned"))
+    };
+    let one = "SELECT d.s FROM (SELECT grp, SUM(amt) AS s FROM ev GROUP BY grp) d WHERE d.s > 50";
+    let two = "SELECT a.grp FROM (SELECT grp FROM ev) a JOIN (SELECT g FROM grp) b ON a.grp = b.g";
+    for sql in [one, two] {
+        let before = counters(&wb);
+        let (_, plan) = wb.query(&format!("EXPLAIN {sql}")).unwrap();
+        assert!(plan.len() > 2, "{plan:?}");
+        assert_eq!(counters(&wb), before, "EXPLAIN ran something: {sql}");
+    }
+    // The same SELECT runs the outer query and its subquery.
+    let before = counters(&wb);
+    wb.query(one).unwrap();
+    let after = counters(&wb);
+    assert_eq!((after.0 - before.0, after.1 - before.1), (2, 8));
+
+    // A subquery that would fail still plans; running it still fails.
+    let boom = "SELECT x FROM (SELECT 1/0 AS x) t";
+    let (_, plan) = wb.query(&format!("EXPLAIN {boom}")).unwrap();
+    assert_eq!(plan.len(), 4, "{plan:?}");
+    let err = wb.query(boom).unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err}");
 }
 
 #[test]

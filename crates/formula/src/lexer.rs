@@ -186,6 +186,16 @@ pub fn lex(src: &str) -> DsResult<Vec<Token>> {
                     saw_dot |= b[i] == b'.';
                     i += 1;
                 }
+                // Exponent `(e|E)[+|-]digits`, the shape typed input takes
+                // (`Value::from_input`). A bare `e` is left to lex as a name.
+                if matches!(b.get(i), Some(b'e' | b'E')) {
+                    let sign = matches!(b.get(i + 1), Some(b'+' | b'-')) as usize;
+                    let digits = b[i + 1 + sign..].iter().take_while(|c| c.is_ascii_digit());
+                    let n = digits.count();
+                    if n > 0 {
+                        i += 1 + sign + n;
+                    }
+                }
                 let text = &src[start..i];
                 let v = if let Ok(n) = text.parse::<i64>() {
                     Value::Int(n)
@@ -229,6 +239,29 @@ mod tests {
             vec![
                 Token::Number(Value::Int(1)),
                 Token::Number(Value::Float(2.5))
+            ]
+        );
+    }
+
+    #[test]
+    fn numbers_take_an_exponent() {
+        let num = |s: &str| lex(s).unwrap();
+        assert_eq!(num("1e3"), vec![Token::Number(Value::Float(1000.0))]);
+        assert_eq!(num("1.5E2"), vec![Token::Number(Value::Float(150.0))]);
+        assert_eq!(num("2E-3"), vec![Token::Number(Value::Float(0.002))]);
+        assert_eq!(num("1E+2"), vec![Token::Number(Value::Float(100.0))]);
+        // Non-finite is an error; a bare `e` is not part of the number.
+        assert!(lex("1e400").is_err());
+        assert_eq!(
+            num("1e"),
+            vec![Token::Number(Value::Int(1)), Token::Ident("e".into())]
+        );
+        assert_eq!(
+            num("1e+"),
+            vec![
+                Token::Number(Value::Int(1)),
+                Token::Ident("e".into()),
+                Token::Plus
             ]
         );
     }

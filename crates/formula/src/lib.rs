@@ -395,6 +395,9 @@ impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Expr::Lit(Value::Text(s)) => write!(f, "\"{}\"", s.replace('"', "\"\"")),
+            // `{:?}` keeps a float a float: `100.0`, not `100`, which
+            // would re-parse as an integer.
+            Expr::Lit(Value::Float(x)) => write!(f, "{x:?}"),
             Expr::Lit(v) => write!(f, "{v}"),
             Expr::Cell(c) => write!(f, "{c}"),
             Expr::Range(r) => write!(f, "{r}"),
@@ -451,6 +454,17 @@ mod tests {
         let mut f = fx("=A1 + A10");
         assert!(f.adjust(GridOp::InsertRows { at: 4, count: 3 }, &all));
         assert_eq!(f.to_string(), "=(A1+A13)");
+    }
+
+    #[test]
+    fn rendered_float_literals_reparse_as_floats() {
+        let f = fx("=MAX(1E+2,2.0,1e16,0.5,7)");
+        assert_eq!(f.to_string(), "=MAX(100.0,2.0,1e16,0.5,7)");
+        assert_eq!(
+            fx(&f.to_string()),
+            f,
+            "the rendering re-parses to the same AST"
+        );
     }
 
     #[test]

@@ -186,3 +186,60 @@ fn property_hash_distinct_matches_linear_dedup() {
         check(&mut wb, "SELECT DISTINCT k FROM t", "distinct");
     });
 }
+
+/// Cases for the derived-table property: `DSP_STRESS_ITERS` (default 30),
+/// the knob CI's stress job raises.
+fn iters() -> u64 {
+    std::env::var("DSP_STRESS_ITERS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(30)
+}
+
+#[test]
+fn property_derived_tables_match_naive() {
+    // `FROM` subqueries on both sides of inner and LEFT joins — grouped,
+    // DISTINCT, ORDER BY … LIMIT, nested — over random table sizes, so the
+    // sub-plan estimates put either input on the build side. The naive
+    // evaluator runs each subquery with no planner code. `ORDER BY … LIMIT`
+    // and `DISTINCT` read one table each, whose scan order both sides share,
+    // so ties keep the same rows. `EXPLAIN` must run none of them.
+    let queries = [
+        "SELECT * FROM (SELECT k, SUM(v) AS s FROM l GROUP BY k) a JOIN r ON a.k = r.k",
+        "SELECT * FROM l JOIN (SELECT DISTINCT k FROM r) b ON l.k = b.k",
+        "SELECT * FROM (SELECT k, v FROM l ORDER BY v DESC, k LIMIT 5) a LEFT JOIN r ON a.k = r.k",
+        "SELECT * FROM l LEFT JOIN (SELECT k, COUNT(*) AS n FROM r WHERE w > 1 GROUP BY k) b \
+         ON l.k = b.k",
+        "SELECT a.k, b.n FROM (SELECT k FROM l WHERE v < 4) a \
+         JOIN (SELECT k, COUNT(*) AS n FROM r GROUP BY k) b ON a.k = b.k WHERE b.n > 1",
+        "SELECT * FROM (SELECT k, w FROM r ORDER BY w, k LIMIT 3) a \
+         LEFT JOIN (SELECT DISTINCT k, v FROM l) b ON a.k = b.k AND b.v > 2",
+        "SELECT n, COUNT(*) FROM (SELECT k, COUNT(*) AS n FROM (SELECT k FROM l WHERE v > 0) x \
+         GROUP BY k) y GROUP BY n",
+        "SELECT * FROM (SELECT * FROM (SELECT k, v FROM l) x WHERE x.v > 2) y JOIN r ON y.k = r.k",
+        "SELECT t.s, r.w FROM (SELECT SUM(v) AS s FROM l) t CROSS JOIN r WHERE r.w = t.s",
+    ];
+    cases(iters(), 0xDE_41BE_D7AB, |rng| {
+        let mut wb = Workbook::new();
+        wb.execute_script(
+            "CREATE TABLE l (k ANY, v INT);
+             CREATE TABLE r (k ANY, w INT);",
+        )
+        .unwrap();
+        let nl = rng.usize_in(0, 40);
+        let nr = rng.usize_in(0, 40);
+        fill(&mut wb, "l", rng, nl);
+        fill(&mut wb, "r", rng, nr);
+        let counters = |wb: &Workbook| {
+            let m = wb.metrics_snapshot();
+            let c = |name: &str| m.counter(name).unwrap();
+            (c("exec_queries"), c("exec_rows_scanned"))
+        };
+        for sql in queries {
+            check(&mut wb, sql, "derived");
+            let before = counters(&wb);
+            wb.query(&format!("EXPLAIN {sql}")).unwrap();
+            assert_eq!(counters(&wb), before, "EXPLAIN executed\n  {sql}");
+        }
+    });
+}
