@@ -11,9 +11,11 @@
 //!   become positional inserts/deletes (O(log n) via the table's counted
 //!   B-tree) or schema changes instead of breaking the mapping.
 //! * **table → sheet**: SQL DML/DDL against a bound table re-renders the
-//!   region (diffed cell by cell, so untouched cells cost nothing
-//!   downstream) and invalidates dependent formulas through `calc`, so
-//!   `=SUM` over a bound region recomputes after an `INSERT`.
+//!   region and invalidates dependent formulas through `calc`, so `=SUM`
+//!   over a bound region recomputes after an `INSERT`. An `UPDATE`
+//!   re-renders only the rows in its change set; everything else diffs
+//!   the region cell by cell. Either way untouched cells cost nothing
+//!   downstream.
 //!
 //! The durable metadata ([`BindingMeta`]) lives in `relstore::binding`;
 //! bindings ride checkpoints as a workbook-meta section and the WAL as
@@ -40,6 +42,7 @@ use dataspread_types::{col_to_letters, CellAddr, DataType, DsError, DsResult, Ra
 
 pub use dataspread_relstore::{BindModel, BindingMeta};
 
+use crate::engine::UpdatedRows;
 use crate::workbook::{SheetId, Workbook};
 
 /// One live binding: the durable metadata plus the engine-side refresh
@@ -269,7 +272,7 @@ impl Workbook {
         self.edit(|wb| {
             wb.bindings.register(meta);
             let i = wb.bindings.bindings.len() - 1;
-            wb.refresh_binding_slot(i, true)
+            wb.refresh_binding_slot(i, true, None)
         })?;
         Ok(id)
     }
@@ -376,7 +379,7 @@ impl Workbook {
                 t.rename_column(&old_name, &new_name)?;
             }
             drop(t);
-            self.refresh_binding_slot(bi, true)?;
+            self.refresh_binding_slot(bi, true, None)?;
             // A rename is DDL: schema changes persist via checkpoint.
             if self.store.is_some() {
                 self.checkpoint()?;
@@ -397,9 +400,13 @@ impl Workbook {
         self.sheets[sheet.0].write_bound(addr, conformed);
         let own_id = self.bindings.bindings[bi].meta.id;
         self.bindings.bindings[bi].seen_version = version;
-        // Sibling bindings displaying the same table saw the DML too:
-        // their versions are now behind, so a diff refresh renders the
-        // edit there (no-cost when the table has a single binding).
+        // Sibling bindings displaying the same table saw the DML too: it
+        // is one row rewritten in place, so they re-render that row (and
+        // fall back to a diff if they were already behind).
+        let edited = UpdatedRows {
+            table: meta.table.clone(),
+            keys: vec![key],
+        };
         for id in self.binding_ids() {
             if id == own_id {
                 continue;
@@ -410,7 +417,7 @@ impl Workbook {
                     .table
                     .eq_ignore_ascii_case(&meta.table)
                 {
-                    self.refresh_binding_slot(j, false)?;
+                    self.refresh_binding_slot(j, false, Some(&edited))?;
                 }
             }
         }
@@ -787,13 +794,15 @@ impl Workbook {
     /// binding whose table version or extent changed, and recompute the
     /// formulas watching the re-rendered cells.
     pub fn sync_bindings(&mut self) -> DsResult<()> {
-        self.edit(Self::refresh_bindings)
+        self.edit(|wb| wb.refresh_bindings(None))
     }
 
     /// The body of [`Workbook::sync_bindings`], for callers already inside
     /// the write boundary (the post-statement hook of
-    /// [`Workbook::execute`], positional DML) and for `open`.
-    pub(crate) fn refresh_bindings(&mut self) -> DsResult<()> {
+    /// [`Workbook::execute`], positional DML) and for `open`. `updated` is
+    /// the statement's change set, when it has one: bindings it covers
+    /// re-render only its rows (see [`Workbook::refresh_binding_slot`]).
+    pub(crate) fn refresh_bindings(&mut self, updated: Option<&UpdatedRows>) -> DsResult<()> {
         // Pass 1: tables that no longer exist.
         let orphaned: Vec<u64> = self
             .bindings
@@ -811,7 +820,7 @@ impl Workbook {
         // detach a binding with stale metadata, shifting indices.
         for id in self.binding_ids() {
             if let Some(i) = self.bindings.index_of(id) {
-                self.refresh_binding_slot(i, false)?;
+                self.refresh_binding_slot(i, false, updated)?;
             }
         }
         Ok(())
@@ -827,20 +836,32 @@ impl Workbook {
                     .sheet
                     .eq_ignore_ascii_case(&name)
                 {
-                    self.refresh_binding_slot(i, true)?;
+                    self.refresh_binding_slot(i, true, None)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Re-render one binding: diff the backing table into the region's
-    /// cells (only genuinely changed cells are written and marked dirty, so
-    /// formula invalidation stays incremental), clear cells the region
-    /// shrank away from, and record the matched table version. Skips
-    /// entirely when the table version and extent are unchanged (unless
-    /// `force`).
-    pub(crate) fn refresh_binding_slot(&mut self, i: usize, force: bool) -> DsResult<()> {
+    /// Re-render one binding and record the matched table version. Only
+    /// genuinely changed cells are written and marked dirty, so formula
+    /// invalidation stays incremental. Skips entirely when the table
+    /// version and extent are unchanged (unless `force`).
+    ///
+    /// The **row path** re-renders just the rows of `updated` when it
+    /// names this binding's table, every version bump since the last
+    /// render is one of its rewrites (`seen_version + keys == version`),
+    /// and the rectangle has not moved. Anything else — inserts, deletes,
+    /// DDL, structural edits, `force`, version jumps from direct catalog
+    /// access, a failed statement — takes the **region diff**: the whole
+    /// table is compared into the region's cells and cells the region
+    /// shrank away from are cleared.
+    pub(crate) fn refresh_binding_slot(
+        &mut self,
+        i: usize,
+        force: bool,
+        updated: Option<&UpdatedRows>,
+    ) -> DsResult<()> {
         let (meta, last_rect, seen) = {
             let b = &self.bindings.bindings[i];
             (b.meta.clone(), b.last_rect, b.seen_version)
@@ -882,6 +903,30 @@ impl Workbook {
         let mut diffed: u64 = 0;
         let cols: Vec<usize> = meta.cols.iter().map(|&c| c as usize).collect();
         let sheet = &mut self.sheets[sheet_idx];
+        let data_start = meta.row + header as u32;
+        let rows_only = updated.filter(|u| {
+            u.table.eq_ignore_ascii_case(&meta.table)
+                && seen.checked_add(u.keys.len() as u64) == Some(version)
+                && rect == last_rect
+        });
+        if let Some(u) = rows_only {
+            for &key in &u.keys {
+                let pos = t.position_of(key).ok_or_else(|| {
+                    DsError::Storage(format!("row key {key} not in table {}", meta.table))
+                })?;
+                let row = t.get_row_project(key, &cols)?;
+                for (slot, v) in row.into_iter().enumerate() {
+                    let addr = CellAddr::new(data_start + pos as u32, meta.col + slot as u32);
+                    if sheet.value(addr) != v {
+                        sheet.write_bound(addr, v);
+                        diffed += 1;
+                    }
+                }
+            }
+            self.obs.bind_cells_diffed.add(diffed);
+            self.bindings.bindings[i].seen_version = version;
+            return Ok(());
+        }
         if header {
             for (slot, &ci) in cols.iter().enumerate() {
                 let addr = CellAddr::new(meta.row, meta.col + slot as u32);
@@ -892,7 +937,6 @@ impl Workbook {
                 }
             }
         }
-        let data_start = meta.row + header as u32;
         for (pos, item) in t.iter_rows_sparse(Some(&cols)).enumerate() {
             let (_, row) = item?;
             for (slot, &ci) in cols.iter().enumerate() {

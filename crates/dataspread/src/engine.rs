@@ -3,17 +3,23 @@
 //!
 //! `SELECT` runs through the streaming operator pipeline in [`crate::exec`]
 //! (planning, pushdown, hash joins, hash aggregation); this module keeps the
-//! statement surface around it — the three DML families (streaming their
-//! table scans) and DDL including the paper's cheap `ALTER TABLE` path.
+//! statement surface around it — the three DML families and DDL including
+//! the paper's cheap `ALTER TABLE` path. `UPDATE` and `DELETE` find their
+//! rows through the same access path as a `SELECT` leaf
+//! (`exec::key_probe`): one primary-key probe when the `WHERE`
+//! clause pins the whole key, else a streaming scan, with the predicate
+//! checked on every candidate either way. An `UPDATE` reports the rows it
+//! rewrote (`UpdatedRows`) so bound regions re-render just those.
 
-use dataspread_relstore::{Catalog, ColumnDef, RowKey, Schema};
+use dataspread_relstore::{Catalog, ColumnDef, RowKey, Schema, Table};
 use dataspread_sql::ast::{AlterAction, Expr, InsertSource, Statement};
 use dataspread_sql::expr::{bind, eval, truth, BExpr, ColInfo};
+use dataspread_sql::planner::split_conjuncts;
 use dataspread_sql::resolver::SheetResolver;
 use dataspread_types::{DsError, DsResult, Value};
 
 use crate::exec::{
-    analyze_select, eval_standalone, explain_select, run_select, ExecCtx, ExecMetrics,
+    analyze_select, eval_standalone, explain_select, key_probe, run_select, ExecCtx, ExecMetrics,
 };
 
 /// Outcome of one executed statement.
@@ -48,13 +54,26 @@ impl QueryResult {
     }
 }
 
-/// Execute one statement.
+/// The change set of one `UPDATE`: the rows it rewrote in place, each a
+/// single version bump of `table`. Bindings of the table re-render these
+/// rows instead of diffing their whole region.
+#[derive(Debug)]
+pub(crate) struct UpdatedRows {
+    /// The table's canonical name.
+    pub table: String,
+    /// The keys the statement applied, in application order.
+    pub keys: Vec<RowKey>,
+}
+
+/// Execute one statement, returning an `UPDATE`'s change set beside its
+/// result. A failed statement returns none: whatever rows it did apply are
+/// left to the bindings' full diff.
 pub(crate) fn execute(
     catalog: &mut Catalog,
     resolver: &dyn SheetResolver,
     stmt: Statement,
     metrics: &ExecMetrics,
-) -> DsResult<QueryResult> {
+) -> DsResult<(QueryResult, Option<UpdatedRows>)> {
     match stmt {
         query @ (Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_)) => {
             run_query(catalog, resolver, &query, metrics)
@@ -86,7 +105,10 @@ pub(crate) fn execute(
             table,
             sets,
             filter,
-        } => run_update(catalog, resolver, &table, &sets, filter.as_ref()),
+        } => {
+            let updated = run_update(catalog, resolver, &table, &sets, filter.as_ref())?;
+            return Ok((QueryResult::Affected(updated.keys.len()), Some(updated)));
+        }
         Statement::Delete { table, filter } => {
             run_delete(catalog, resolver, &table, filter.as_ref())
         }
@@ -96,7 +118,7 @@ pub(crate) fn execute(
             if_not_exists,
         } => {
             if if_not_exists && catalog.contains(&name) {
-                return Ok(QueryResult::Ddl);
+                return Ok((QueryResult::Ddl, None));
             }
             let mut defs = Vec::with_capacity(columns.len());
             let mut pkey: Vec<String> = Vec::new();
@@ -120,7 +142,7 @@ pub(crate) fn execute(
         }
         Statement::DropTable { name, if_exists } => {
             if if_exists && !catalog.contains(&name) {
-                return Ok(QueryResult::Ddl);
+                return Ok((QueryResult::Ddl, None));
             }
             catalog.drop_table(&name)?;
             Ok(QueryResult::Ddl)
@@ -153,6 +175,7 @@ pub(crate) fn execute(
             Ok(QueryResult::Ddl)
         }
     }
+    .map(|result| (result, None))
 }
 
 /// Run a `SELECT`, `EXPLAIN`, or `EXPLAIN ANALYZE` under one executor
@@ -267,16 +290,11 @@ fn run_update(
     table: &str,
     sets: &[(String, Expr)],
     filter: Option<&Expr>,
-) -> DsResult<QueryResult> {
-    // Plan against the immutable table (streaming the scan), then apply.
-    let updates: Vec<(RowKey, Vec<Value>)> = {
+) -> DsResult<UpdatedRows> {
+    // Find the rows against the immutable table, then apply.
+    let (name, updates) = {
         let t = catalog.get(table)?;
-        let cols: Vec<ColInfo> = t
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| ColInfo::new(Some(table), c.name.clone()))
-            .collect();
+        let cols = table_cols(&t, table);
         let mut plan: Vec<(usize, BExpr)> = Vec::with_capacity(sets.len());
         for (name, e) in sets {
             let i = t
@@ -292,30 +310,25 @@ fn run_update(
             Some(f) => Some(bind(f, &cols, None, resolver)?),
             None => None,
         };
-        let mut updates = Vec::new();
-        for item in t.iter_rows() {
-            let (key, row) = item?;
-            let hit = match &pred {
-                Some(p) => truth(&eval(p, &row, &[])?)? == Some(true),
-                None => true,
-            };
-            if hit {
-                let mut new_row = row.clone();
-                for (i, b) in &plan {
-                    // SQL semantics: every SET expression sees the OLD row.
-                    new_row[*i] = eval(b, &row, &[])?;
-                }
-                updates.push((key, new_row));
+        let mut updates: Vec<(RowKey, Vec<Value>)> = Vec::new();
+        for_each_match(&t, pred.as_ref(), &mut |key, row| {
+            let mut new_row = row.clone();
+            for (i, b) in &plan {
+                // SQL semantics: every SET expression sees the OLD row.
+                new_row[*i] = eval(b, &row, &[])?;
             }
-        }
-        updates
+            updates.push((key, new_row));
+            Ok(())
+        })?;
+        (t.name().to_string(), updates)
     };
     let mut t = catalog.get_mut(table)?;
-    let n = updates.len();
+    let mut keys = Vec::with_capacity(updates.len());
     for (key, row) in updates {
         t.update_row(key, row)?;
+        keys.push(key);
     }
-    Ok(QueryResult::Affected(n))
+    Ok(UpdatedRows { table: name, keys })
 }
 
 fn run_delete(
@@ -326,27 +339,15 @@ fn run_delete(
 ) -> DsResult<QueryResult> {
     let doomed: Vec<RowKey> = {
         let t = catalog.get(table)?;
-        let cols: Vec<ColInfo> = t
-            .schema()
-            .columns()
-            .iter()
-            .map(|c| ColInfo::new(Some(table), c.name.clone()))
-            .collect();
         let pred = match filter {
-            Some(f) => Some(bind(f, &cols, None, resolver)?),
+            Some(f) => Some(bind(f, &table_cols(&t, table), None, resolver)?),
             None => None,
         };
         let mut doomed = Vec::new();
-        for item in t.iter_rows() {
-            let (key, row) = item?;
-            let hit = match &pred {
-                Some(p) => truth(&eval(p, &row, &[])?)? == Some(true),
-                None => true,
-            };
-            if hit {
-                doomed.push(key);
-            }
-        }
+        for_each_match(&t, pred.as_ref(), &mut |key, _| {
+            doomed.push(key);
+            Ok(())
+        })?;
         doomed
     };
     let mut t = catalog.get_mut(table)?;
@@ -355,4 +356,40 @@ fn run_delete(
         t.delete_row(key)?;
     }
     Ok(QueryResult::Affected(n))
+}
+
+/// `t`'s columns, qualified by the name the statement used.
+fn table_cols(t: &Table, table: &str) -> Vec<ColInfo> {
+    (t.schema().columns().iter())
+        .map(|c| ColInfo::new(Some(table), c.name.clone()))
+        .collect()
+}
+
+/// Visit the rows of `t` that `pred` selects, in presentation order. The
+/// access path is the `SELECT` leaf's: a primary-key probe when the
+/// predicate's conjuncts pin the whole key, else a streaming scan. Either
+/// way the whole predicate is evaluated on every candidate row.
+fn for_each_match(
+    t: &Table,
+    pred: Option<&BExpr>,
+    visit: &mut dyn FnMut(RowKey, Vec<Value>) -> DsResult<()>,
+) -> DsResult<()> {
+    let probe = pred.and_then(|p| key_probe(t.schema(), &split_conjuncts(p.clone())));
+    let rows: Box<dyn Iterator<Item = DsResult<(RowKey, Vec<Value>)>> + '_> = match probe {
+        Some(kt) => Box::new(
+            (t.key_lookup(&kt).into_iter()).map(|key| t.get_row(key).map(|row| (key, row))),
+        ),
+        None => Box::new(t.iter_rows()),
+    };
+    for item in rows {
+        let (key, row) = item?;
+        let hit = match pred {
+            Some(p) => truth(&eval(p, &row, &[])?)? == Some(true),
+            None => true,
+        };
+        if hit {
+            visit(key, row)?;
+        }
+    }
+    Ok(())
 }

@@ -50,7 +50,12 @@ pub(crate) fn estimate(plan: &Plan) -> Est {
             rows: 1.0,
             ndv: Vec::new(),
         },
-        Plan::TableScan { snap, filters, .. } => {
+        Plan::TableScan {
+            snap,
+            filters,
+            probe,
+            ..
+        } => {
             let base = snap.row_count() as f64;
             let width = snap.schema().width();
             let mut ndv: Vec<f64> = (0..width)
@@ -68,6 +73,8 @@ pub(crate) fn estimate(plan: &Plan) -> Est {
                 };
                 Some((s.ndv.max(1.0), nulls.min(1.0)))
             });
+            // A key probe reads at most one row.
+            let rows = if probe.is_some() { rows.min(1.0) } else { rows };
             cap_ndv(&mut ndv, rows);
             Est { rows, ndv }
         }

@@ -70,9 +70,18 @@ fn node(plan: &Plan, depth: usize, out: &mut Vec<String>, marks: &mut Vec<usize>
         Plan::TableScan {
             snap,
             filters,
+            probe,
             used,
         } => {
-            let mut line = format!("{pad}scan {} rows={}", snap.name(), snap.row_count());
+            let access = if probe.is_some() { "probe" } else { "scan" };
+            let mut line = format!("{pad}{access} {} rows={}", snap.name(), snap.row_count());
+            if probe.is_some() {
+                let schema = snap.schema();
+                let key: Vec<&str> = (schema.pkey().iter())
+                    .map(|&c| schema.column(c).name.as_str())
+                    .collect();
+                line.push_str(&format!(" key=({})", key.join(", ")));
+            }
             if !filters.is_empty() {
                 line.push_str(&format!(" filters={} est~{}", filters.len(), est_of(plan)));
             }

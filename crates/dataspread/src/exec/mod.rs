@@ -10,10 +10,14 @@
 //!   aggregate (hash GROUP BY) ─► HAVING ─► project ─► DISTINCT ─► sort ─► limit
 //! ```
 //!
-//! * **Streaming scans** (`scan.rs`) — tables stream through
-//!   `Table::iter_rows_sparse`, reading only the attribute groups the query
-//!   touches; `RANGETABLE` regions are read column-bounded through
-//!   `SheetResolver::range_table_pruned`, so grid scans touch fewer blocks.
+//! * **Access paths** (`scan.rs`) — a table leaf whose pushed-down
+//!   conjuncts pin every primary-key column to a literal of the column's
+//!   kind reads one row through the key map (`key_probe`, shared with
+//!   `UPDATE`/`DELETE`); every other leaf streams the table, reading only
+//!   the attribute groups the query touches. Either way the leaf's filters
+//!   run on what it reads. `RANGETABLE` regions are read column-bounded
+//!   through `SheetResolver::range_table_pruned`, so grid scans touch fewer
+//!   blocks.
 //! * **Predicate pushdown** (`planner.rs`) — the `WHERE` conjunction is
 //!   split and every single-side term sinks below the joins into its scan
 //!   (left-join outer semantics respected).
@@ -50,6 +54,8 @@ use dataspread_sql::expr::{bind, eval, truth, AggContext, BExpr};
 use dataspread_sql::planner::{collect_cols, split_conjuncts};
 use dataspread_sql::resolver::SheetResolver;
 use dataspread_types::{DsError, DsResult, Value};
+
+pub(crate) use scan::key_probe;
 
 use aggregate::{collect_aggregates, AggSpec};
 use planner::{NodeMeter, Plan, Used};

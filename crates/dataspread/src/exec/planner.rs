@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dataspread_relstore::TableSnapshot;
+use dataspread_relstore::{KeyTuple, TableSnapshot};
 use dataspread_sql::ast::{JoinConstraint, JoinKind, TableExpr};
 use dataspread_sql::expr::{bind, ColInfo};
 use dataspread_sql::planner::{cols_of, extract_equi_keys, remap_cols, split_conjuncts};
@@ -33,7 +33,7 @@ use dataspread_sql::BExpr;
 use dataspread_types::{DsError, DsResult, Value};
 
 use super::join::{HashJoin, NestedLoopJoin};
-use super::scan::{range_scan, table_scan, FilterIter};
+use super::scan::{key_probe, range_scan, table_scan, FilterIter};
 use super::{execute_prepared, prepare_select, ExecCtx, Prepared, RowStream};
 
 /// Which join input a column comes from.
@@ -64,12 +64,16 @@ impl Used {
 pub(crate) enum Plan {
     /// `SELECT` without `FROM`: one anonymous empty row.
     Dual,
-    /// Leaf scan over an owned [`TableSnapshot`] taken at plan time: every
+    /// Leaf read of an owned [`TableSnapshot`] taken at plan time: every
     /// `SELECT` reads a consistent per-table snapshot and never blocks (or
-    /// is blocked by) writers for the duration of the scan.
+    /// is blocked by) writers for the duration of the scan. `probe` is the
+    /// access path: `Some` when the filters pin the whole primary key
+    /// ([`key_probe`]), so the leaf reads at most one row; the filters
+    /// still run on it.
     TableScan {
         snap: TableSnapshot,
         filters: Vec<BExpr>,
+        probe: Option<KeyTuple>,
         used: Used,
     },
     RangeScan {
@@ -135,6 +139,7 @@ pub(crate) fn plan_from(ctx: &ExecCtx<'_>, te: &TableExpr) -> DsResult<(Plan, Ve
                 Plan::TableScan {
                     snap,
                     filters: Vec::new(),
+                    probe: None,
                     used: Used::Cols(HashSet::new()),
                 },
                 cols,
@@ -322,9 +327,16 @@ impl Plan {
     pub(crate) fn absorb_filter(&mut self, pred: BExpr) {
         match self {
             Plan::Dual => unreachable!("Dual has no columns to filter on"),
-            Plan::TableScan { filters, .. }
-            | Plan::RangeScan { filters, .. }
-            | Plan::Derived { filters, .. } => filters.push(pred),
+            Plan::TableScan {
+                snap,
+                filters,
+                probe,
+                ..
+            } => {
+                filters.push(pred);
+                *probe = key_probe(snap.schema(), filters);
+            }
+            Plan::RangeScan { filters, .. } | Plan::Derived { filters, .. } => filters.push(pred),
             Plan::Join(j) => {
                 let refs = cols_of(&pred);
                 let sides: HashSet<Side> = refs.iter().map(|&i| j.child_of(i).0).collect();
@@ -574,9 +586,13 @@ pub(crate) fn build<'a>(
         Plan::TableScan {
             snap,
             filters,
+            probe,
             used,
         } => {
-            let scan = counted(table_scan(snap, &used), &ctx.metrics.rows_scanned);
+            let scan = counted(
+                table_scan(snap, probe.as_ref(), &used),
+                &ctx.metrics.rows_scanned,
+            );
             filtered(scan, filters)
         }
         Plan::RangeScan {

@@ -1,25 +1,97 @@
-//! Leaf operators: streaming scans and the filter adapter.
+//! Leaf operators: the access path (key probe or streaming scan) and the
+//! filter adapter.
 
-use dataspread_relstore::TableSnapshot;
+use dataspread_relstore::{KeyTuple, Schema, TableSnapshot};
+use dataspread_sql::ast::{BinOp, UnOp};
 use dataspread_sql::expr::BExpr;
 use dataspread_sql::resolver::SheetResolver;
-use dataspread_types::{DsResult, Value};
+use dataspread_types::{DataType, DsResult, Value};
 
 use super::planner::Used;
 use super::{passes, RowStream};
 
-/// Stream a table snapshot in presentation order. With a concrete
-/// used-column set the scan reads only the attribute groups covering it
-/// (unused slots come back [`Value::Empty`], so column indices stay valid
-/// upstream). The iterator owns the snapshot, so the stream is `'static`:
-/// the query runs entirely against the plan-time state, off the lock.
-pub(crate) fn table_scan(snap: TableSnapshot, used: &Used) -> RowStream<'static> {
-    let it = match used {
-        Used::All => snap.into_iter_sparse(None),
-        Used::Cols(set) => {
-            let cols: Vec<usize> = set.iter().copied().collect();
-            snap.into_iter_sparse(Some(&cols))
+/// The access path: the primary-key tuple `conjuncts` pin, when they pin
+/// every key column to a literal (`col = lit` or `lit = col`) of the
+/// column's own kind — INT to an integer, TEXT to a string, BOOL to a
+/// boolean. Then the key map finds the only row that can pass, and the
+/// caller still evaluates every conjunct on it. `None` keeps the scan:
+/// no key, a key column left free, a FLOAT or ANY key column, or a
+/// literal of another kind (`id = 'abc'`, `id = 4.0`), whose comparison
+/// errors or coercions only the scan reproduces exactly. Shared by the
+/// `SELECT` leaf and by `UPDATE`/`DELETE`.
+pub(crate) fn key_probe(schema: &Schema, conjuncts: &[BExpr]) -> Option<KeyTuple> {
+    let pkey = schema.pkey();
+    if pkey.is_empty() {
+        return None;
+    }
+    let mut pinned: Vec<Option<Value>> = vec![None; pkey.len()];
+    for c in conjuncts {
+        let BExpr::Binary {
+            left,
+            op: BinOp::Eq,
+            right,
+        } = c
+        else {
+            continue;
+        };
+        let (col, lit) = match (&**left, &**right) {
+            (BExpr::Col(i), e) | (e, BExpr::Col(i)) => match literal(e) {
+                Some(v) => (*i, v),
+                None => continue,
+            },
+            _ => continue,
+        };
+        let Some(slot) = pkey.iter().position(|&k| k == col) else {
+            continue;
+        };
+        let same_kind = matches!(
+            (schema.column(col).dtype, &lit),
+            (DataType::Int, Value::Int(_))
+                | (DataType::Text, Value::Text(_))
+                | (DataType::Bool, Value::Bool(_))
+        );
+        if same_kind && pinned[slot].is_none() {
+            pinned[slot] = Some(lit);
         }
+    }
+    pinned.into_iter().collect::<Option<Vec<_>>>().map(KeyTuple)
+}
+
+/// A literal operand: a constant, or a negated integer constant (`-5`
+/// parses as a negation).
+fn literal(e: &BExpr) -> Option<Value> {
+    match e {
+        BExpr::Literal(v) => Some(v.clone()),
+        BExpr::Unary {
+            op: UnOp::Neg,
+            expr,
+        } => match &**expr {
+            BExpr::Literal(Value::Int(n)) => n.checked_neg().map(Value::Int),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Read a table snapshot through its access path: the key probe's zero or
+/// one rows when `probe` is set, else every row in presentation order. With
+/// a concrete used-column set either reads only the attribute groups
+/// covering it (unused slots come back [`Value::Empty`], so column indices
+/// stay valid upstream). The iterator owns the snapshot, so the stream is
+/// `'static`: the query runs entirely against the plan-time state, off the
+/// lock.
+pub(crate) fn table_scan(
+    snap: TableSnapshot,
+    probe: Option<&KeyTuple>,
+    used: &Used,
+) -> RowStream<'static> {
+    let cols: Option<Vec<usize>> = match used {
+        Used::All => None,
+        Used::Cols(set) => Some(set.iter().copied().collect()),
+    };
+    let it = match probe {
+        Some(kt) => snap.into_probe_sparse(kt, cols.as_deref()),
+        None => snap.into_iter_sparse(cols.as_deref()),
     };
     Box::new(it.map(|r| r.map(|(_, row)| row)))
 }

@@ -331,7 +331,7 @@ impl Workbook {
         // replayed edits in. The decoded dependents index is stale, so this
         // first flush is one full pass: it evaluates every formula and
         // builds the index the incremental passes after it stab.
-        wb.refresh_bindings()?;
+        wb.refresh_bindings(None)?;
         wb.flush_grid();
         // Fold the replayed tail into a fresh checkpoint + empty WAL.
         wb.checkpoint_into(dir, generation + 1, &vfs)?;

@@ -369,16 +369,12 @@ impl Workbook {
         let ddl_info = self.capture_ddl_info(&stmt);
         // One WAL transaction per DML statement: the attached tables append
         // redo records as they mutate; commit (fsync) seals the statement.
-        let in_txn = if is_dml {
-            match &self.store {
-                Some(store) => {
-                    store.wal.begin()?;
-                    true
-                }
-                None => false,
+        let txn = match &self.store {
+            Some(store) if is_dml => {
+                store.wal.begin()?;
+                Some(store)
             }
-        } else {
-            false
+            _ => None,
         };
         let ctx = SheetCtx {
             sheets: &self.sheets,
@@ -386,8 +382,7 @@ impl Workbook {
             current: self.current,
         };
         let result = engine::execute(&mut self.catalog, &ctx, stmt, &self.obs.exec);
-        if in_txn {
-            let store = self.store.as_ref().expect("store present when in_txn");
+        if let Some(store) = txn {
             match &result {
                 Ok(_) => store.wal.commit()?,
                 // The engine applies DML row by row with no undo, so a
@@ -402,6 +397,13 @@ impl Workbook {
                 }
             }
         }
+        // An UPDATE's change set lets its table's bindings re-render just
+        // the rewritten rows; a failed statement has none, so the rows it
+        // did apply reach the grid through the full diff.
+        let (result, updated) = match result {
+            Ok((r, updated)) => (Ok(r), updated),
+            Err(e) => (Err(e), None),
+        };
         let result = self.edit(|wb| {
             if result.is_ok() {
                 wb.after_statement(&ddl_info)?;
@@ -411,7 +413,7 @@ impl Workbook {
                 // boundary recomputes the formulas watching them. The rows
                 // a failed statement applied stay (see above), so they
                 // sync too; the statement's error outranks a sync error.
-                let synced = wb.refresh_bindings();
+                let synced = wb.refresh_bindings(updated.as_ref());
                 if result.is_ok() {
                     synced?;
                 }
@@ -701,7 +703,7 @@ impl Workbook {
         self.edit(|wb| {
             let key = wb.catalog.get_mut(table)?.insert_at(pos, row)?;
             // Bound regions displaying this table grow by one row.
-            wb.refresh_bindings()?;
+            wb.refresh_bindings(None)?;
             Ok(key)
         })
     }

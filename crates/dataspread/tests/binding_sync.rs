@@ -494,12 +494,20 @@ fn iters() -> u64 {
 /// Random interleavings of bound-cell edits, SQL DML (failing statements
 /// included), positional DML, and structural grid edits: the grid and the
 /// table must stay two views of one store, and the incremental recompute
-/// must equal a full recalculation.
+/// must equal a full recalculation. Half the cases key the table on `a`,
+/// so point statements take the key probe; a sibling COM binding of `b`
+/// sees every edit second-hand, through the row path when it can.
 #[test]
 fn convergence_under_random_interleavings() {
     testkit::cases(iters(), 0xB17D, |rng| {
         let mut wb = Workbook::new();
-        wb.execute("CREATE TABLE t (a INT, b INT)").unwrap();
+        let keyed = rng.bool();
+        wb.execute(if keyed {
+            "CREATE TABLE t (a INT PRIMARY KEY, b INT)"
+        } else {
+            "CREATE TABLE t (a INT, b INT)"
+        })
+        .unwrap();
         let s = wb.current_sheet();
         let header = rng.bool();
         let model = if header {
@@ -509,12 +517,21 @@ fn convergence_under_random_interleavings() {
         };
         // Anchor low enough that structural edits above/below both happen.
         let id = wb.bind_table(s, a("B3"), "t", model).unwrap();
+        let sibling = wb.bind_table_cols(s, a("H3"), "t", &["b"]).unwrap();
         // A formula watching the whole `a` display column.
         wb.set_input(s, a("F1"), "=SUM(B1:B60)").unwrap();
         let mut next = 0i64;
         for _ in 0..rng.index(25) + 5 {
             let nrows = wb.catalog().get("t").unwrap().row_count();
-            match rng.below(9) {
+            // The `a` of the row at `pos`, if it exists and is not NULL.
+            let some_a = |wb: &Workbook, pos: usize| {
+                let t = wb.catalog().get("t").unwrap();
+                match t.get_row(t.key_at(pos)?).unwrap()[0] {
+                    Value::Int(n) => Some(n),
+                    _ => None,
+                }
+            };
+            match rng.below(12) {
                 // SQL append.
                 0 | 1 => {
                     next += 1;
@@ -549,21 +566,58 @@ fn convergence_under_random_interleavings() {
                     wb.insert_tuple_at("t", pos, vec![Value::Int(next), Value::Int(next)])
                         .unwrap();
                 }
-                // Bound-cell edit (when the region has rows).
+                // Bound-cell edit in either binding (when the region has
+                // rows): the other one re-renders the edited row.
                 5 => {
                     if nrows > 0 {
-                        let meta = wb.binding_meta(id).unwrap();
-                        let row = meta.row + header as u32 + rng.index(nrows) as u32;
-                        let col = meta.col + rng.u32_in(0, 2);
+                        let (target, cols) = if rng.bool() { (id, 2) } else { (sibling, 1) };
+                        let meta = wb.binding_meta(target).unwrap();
+                        let head = (meta.model == BindModel::Tom) as u32;
+                        let row = meta.row + head + rng.index(nrows) as u32;
+                        let col = meta.col + rng.u32_in(0, cols);
                         next += 1;
                         wb.set_value(s, CellAddr::new(row, col), Value::Int(next))
                             .unwrap();
                     }
                 }
                 // Structural row edits: above, inside, below, straddling.
+                // A row inserted inside a keyed region would need a NULL
+                // key, so it is refused before the grid moves.
                 6 => {
                     let at = rng.u32_in(0, 10);
-                    wb.insert_rows(s, at, rng.u32_in(1, 3)).unwrap();
+                    let r = wb.insert_rows(s, at, rng.u32_in(1, 3));
+                    assert!(r.is_ok() || keyed, "{r:?}");
+                }
+                // Point UPDATE by `a`: the row path for both bindings.
+                9 => {
+                    if let Some(k) = some_a(&wb, rng.index(nrows.max(1))) {
+                        next += 1;
+                        wb.execute(&format!("UPDATE t SET b = {next} WHERE a = {k}"))
+                            .unwrap();
+                    }
+                }
+                // Key-changing UPDATE, to a fresh `a` or to another row's
+                // (which, keyed, fails having changed nothing).
+                10 => {
+                    if let Some(k) = some_a(&wb, rng.index(nrows.max(1))) {
+                        next += 1;
+                        let to = match some_a(&wb, rng.index(nrows)) {
+                            Some(other) if rng.bool() => other,
+                            _ => next,
+                        };
+                        let r = wb.execute(&format!("UPDATE t SET a = {to} WHERE a = {k}"));
+                        assert!(r.is_ok() || keyed, "{r:?}");
+                    }
+                }
+                // A multi-row UPDATE that fails part-way: the rows before
+                // the bad one stay rewritten, with no change set, and must
+                // reach both regions through the diff.
+                11 => {
+                    if let Some(k) = some_a(&wb, rng.index(nrows.max(1))) {
+                        let sql =
+                            format!("UPDATE t SET b = CASE WHEN a = {k} THEN 'x' ELSE b + 1 END");
+                        assert!(wb.execute(&sql).is_err());
+                    }
                 }
                 _ => {
                     let at = rng.u32_in(0, 10);
@@ -575,6 +629,7 @@ fn convergence_under_random_interleavings() {
                 break; // a structural edit legitimately detached the binding
             }
             assert_converged(&mut wb, id);
+            assert_converged(&mut wb, sibling);
             // Incremental recompute ≡ full recalculation.
             let before = wb.cell(s, a("F1"));
             wb.recalculate();
@@ -662,6 +717,85 @@ fn sibling_bindings_on_one_table_stay_in_sync() {
     assert_eq!(wb.cell(s, a("A2")), Value::Int(55));
     assert_converged(&mut wb, id1);
     assert_converged(&mut wb, id2);
+}
+
+/// What one bound point statement costs on a keyed table of `n` rows,
+/// bound as a ROM region (A:B) and a COM sibling of `b` (D), with one
+/// formula on the edited row and one over the whole column: the
+/// `table_page_reads` and `calc_cells_recomputed` deltas of a point
+/// `UPDATE`, then of a keystroke into the ROM region.
+fn point_costs(n: usize) -> [(u64, u64); 2] {
+    let mut wb = Workbook::new();
+    wb.execute("CREATE TABLE t (a INT PRIMARY KEY, b INT)")
+        .unwrap();
+    {
+        let mut t = wb.catalog_mut().get_mut("t").unwrap();
+        for i in 0..n as i64 {
+            t.insert(vec![Value::Int(i), Value::Int(i)]).unwrap();
+        }
+    }
+    let s = wb.current_sheet();
+    wb.bind_table(s, a("A1"), "t", BindModel::Rom).unwrap();
+    wb.bind_table_cols(s, a("D1"), "t", &["b"]).unwrap();
+    wb.set_input(s, a("F1"), "=B3*2").unwrap();
+    wb.set_input(s, a("F2"), &format!("=SUM(B1:B{n})")).unwrap();
+    let counters = |wb: &Workbook| {
+        let m = wb.metrics_snapshot();
+        let c = |name: &str| m.counter(name).unwrap();
+        (c("table_page_reads"), c("calc_cells_recomputed"))
+    };
+    let delta = |wb: &Workbook, (r, c): (u64, u64)| {
+        let (r2, c2) = counters(wb);
+        (r2 - r, c2 - c)
+    };
+    let before = counters(&wb);
+    wb.execute("UPDATE t SET b = -1 WHERE a = 2").unwrap();
+    let update = delta(&wb, before);
+    assert_eq!(wb.cell(s, a("D3")), Value::Int(-1), "sibling row rendered");
+    assert_eq!(wb.cell(s, a("F1")), Value::Int(-2));
+    let before = counters(&wb);
+    wb.set_value(s, a("B3"), Value::Int(-5)).unwrap();
+    let keystroke = delta(&wb, before);
+    assert_eq!(wb.cell(s, a("D3")), Value::Int(-5), "sibling row rendered");
+    assert_eq!(wb.cell(s, a("F1")), Value::Int(-10));
+    [update, keystroke]
+}
+
+#[test]
+fn bound_point_statements_cost_the_same_at_any_table_size() {
+    // The key probe finds the row and the row path re-renders it, so
+    // neither the page reads nor the formulas recomputed grow with the
+    // table (a scan or a region diff would read every row). Both formulas
+    // watch the edited cell; nothing else recomputes.
+    let small = point_costs(100);
+    assert_eq!(small, point_costs(10_000));
+    for (_, recomputed) in small {
+        assert_eq!(recomputed, 2);
+    }
+}
+
+#[test]
+fn unsynced_catalog_writes_reach_the_grid_with_the_next_update() {
+    // A direct catalog write bumps the version without a sync, so the next
+    // UPDATE's change set does not cover every bump since the last render:
+    // the binding must diff its region, not re-render the updated row only.
+    let mut wb = Workbook::new();
+    wb.execute_script(
+        "CREATE TABLE t (a INT PRIMARY KEY, b INT);
+         INSERT INTO t VALUES (1, 10), (2, 20), (3, 30);",
+    )
+    .unwrap();
+    let s = wb.current_sheet();
+    let id = wb.bind_table(s, a("A1"), "t", BindModel::Rom).unwrap();
+    {
+        let mut t = wb.catalog_mut().get_mut("t").unwrap();
+        let k = t.key_at(0).unwrap();
+        t.update_cell(k, 1, Value::Int(11)).unwrap();
+    }
+    wb.execute("UPDATE t SET b = 33 WHERE a = 3").unwrap();
+    assert_eq!(wb.cell(s, a("B1")), Value::Int(11), "the unsynced write");
+    assert_eq!(wb.cell(s, a("B3")), Value::Int(33), "the UPDATE");
+    assert_converged(&mut wb, id);
 }
 
 #[test]

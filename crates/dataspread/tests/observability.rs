@@ -182,6 +182,40 @@ fn executor_counters_track_scans_and_outputs() {
 }
 
 #[test]
+fn point_select_on_the_primary_key_reads_one_row() {
+    let mut wb = seeded();
+    wb.execute("CREATE TABLE kv (id INT PRIMARY KEY, v TEXT)")
+        .unwrap();
+    wb.execute("INSERT INTO kv VALUES (1, 'a'), (2, 'b'), (3, 'c'), (4, 'd'), (5, 'e')")
+        .unwrap();
+    let scanned = |wb: &mut Workbook, sql: &str| {
+        let before = wb.metrics_snapshot().counter("exec_rows_scanned").unwrap();
+        wb.query(sql).unwrap();
+        wb.metrics_snapshot().counter("exec_rows_scanned").unwrap() - before
+    };
+    assert_eq!(
+        scanned(&mut wb, "SELECT v FROM kv WHERE id = 4"),
+        1,
+        "key probe"
+    );
+    assert_eq!(
+        scanned(&mut wb, "SELECT v FROM kv WHERE id = 9"),
+        0,
+        "probe miss"
+    );
+    assert_eq!(
+        scanned(&mut wb, "SELECT v FROM kv WHERE id = 4.0"),
+        5,
+        "float literal scans"
+    );
+    assert_eq!(
+        scanned(&mut wb, "SELECT v FROM kv WHERE id < 2"),
+        5,
+        "range scans"
+    );
+}
+
+#[test]
 fn calc_and_bind_counters_feed_the_registry() {
     let mut wb = seeded();
     let s = wb.current_sheet();

@@ -334,7 +334,12 @@ impl fmt::Display for Schema {
     }
 }
 
-/// A primary-key tuple with a total order, usable as a `BTreeMap` key.
+/// A primary-key tuple with an exact total order, usable as a `BTreeMap`
+/// key. Two keys are equal exactly when SQL `=` holds between their
+/// same-typed components: numbers compare by exact value (so
+/// `9007199254740993` and `9007199254740992` stay distinct, and
+/// `-0.0 = 0.0`), text byte-wise and case-sensitively. Components of
+/// different kinds order as [`Value::total_cmp`] does.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KeyTuple(pub Vec<Value>);
 
@@ -350,13 +355,50 @@ impl Ord for KeyTuple {
     fn cmp(&self, other: &Self) -> Ordering {
         let n = self.0.len().min(other.0.len());
         for i in 0..n {
-            let o = self.0[i].total_cmp(&other.0[i]);
+            let o = key_cmp(&self.0[i], &other.0[i]);
             if o != Ordering::Equal {
                 return o;
             }
         }
         self.0.len().cmp(&other.0.len())
     }
+}
+
+/// The exact order of one key component. Never goes through `as f64`;
+/// NaN sorts above every number and equals itself, so the order is total.
+fn key_cmp(a: &Value, b: &Value) -> Ordering {
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        (Value::Float(x), Value::Float(y)) => match (x.is_nan(), y.is_nan()) {
+            (false, false) => x.partial_cmp(y).unwrap_or(Ordering::Equal),
+            (nx, ny) => nx.cmp(&ny),
+        },
+        (Value::Int(x), Value::Float(y)) => int_float_cmp(*x, *y),
+        (Value::Float(x), Value::Int(y)) => int_float_cmp(*y, *x).reverse(),
+        (Value::Text(x), Value::Text(y)) => x.as_bytes().cmp(y.as_bytes()),
+        (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+        _ => a.total_cmp(b),
+    }
+}
+
+/// `i` against `f` by exact value: the integral parts compare as `i64`
+/// (exact inside the `i64` range), then the fraction breaks the tie.
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() || f >= TWO_63 {
+        return Ordering::Less;
+    }
+    if f < -TWO_63 {
+        return Ordering::Greater;
+    }
+    let whole = f.trunc();
+    i.cmp(&(whole as i64)).then(if f > whole {
+        Ordering::Less
+    } else if f < whole {
+        Ordering::Greater
+    } else {
+        Ordering::Equal
+    })
 }
 
 #[cfg(test)]
@@ -479,6 +521,69 @@ mod tests {
         m.insert(a.clone(), 1);
         m.insert(b, 2);
         assert_eq!(m.get(&a), Some(&1));
+    }
+
+    fn key(v: &[Value]) -> KeyTuple {
+        KeyTuple(v.to_vec())
+    }
+
+    #[test]
+    fn key_order_keeps_ints_past_two_to_the_53_distinct() {
+        // Both round to the same f64: an order through `as f64` calls the
+        // second INSERT a duplicate of the first.
+        let lo = key(&[Value::Int(9_007_199_254_740_992)]);
+        let hi = key(&[Value::Int(9_007_199_254_740_993)]);
+        assert!(lo < hi);
+        let mut m = std::collections::BTreeMap::new();
+        m.insert(lo.clone(), 1);
+        assert!(!m.contains_key(&hi));
+        assert_eq!(m.insert(hi, 2), None);
+        assert_eq!(m.len(), 2);
+    }
+
+    #[test]
+    fn key_order_is_case_sensitive_like_sql_equality() {
+        // `'ann' = 'Ann'` is false in SQL, so the key map must not call
+        // them duplicates.
+        let upper = key(&[Value::text("Ann")]);
+        let lower = key(&[Value::text("ann")]);
+        assert_ne!(upper.cmp(&lower), Ordering::Equal);
+        assert!(upper < lower, "byte-wise: 'A' < 'a'");
+        let mut m = std::collections::BTreeMap::new();
+        m.insert(upper, 1);
+        assert!(!m.contains_key(&lower));
+    }
+
+    #[test]
+    fn key_order_finds_no_duplicate_for_a_rewritten_row() {
+        // A row keyed …992 rewritten to …993: the new key must not be
+        // found in a map that holds only the old one.
+        let mut m = std::collections::BTreeMap::new();
+        m.insert(key(&[Value::Int(9_007_199_254_740_992)]), 7u64);
+        assert!(!m.contains_key(&key(&[Value::Int(9_007_199_254_740_993)])));
+    }
+
+    #[test]
+    fn key_order_compares_mixed_numbers_exactly() {
+        let k = |v: Value| key(&[v]);
+        assert_eq!(k(Value::Int(4)).cmp(&k(Value::Float(4.0))), Ordering::Equal);
+        assert_eq!(
+            k(Value::Float(-0.0)).cmp(&k(Value::Float(0.0))),
+            Ordering::Equal
+        );
+        assert!(k(Value::Int(4)) < k(Value::Float(4.5)));
+        assert!(k(Value::Int(-4)) > k(Value::Float(-4.5)));
+        assert!(k(Value::Int(9_007_199_254_740_993)) > k(Value::Float(9_007_199_254_740_992.0)));
+        assert!(k(Value::Int(i64::MAX)) < k(Value::Float(f64::INFINITY)));
+        assert!(k(Value::Int(i64::MIN)) > k(Value::Float(f64::NEG_INFINITY)));
+        assert!(k(Value::Int(i64::MAX)) < k(Value::Float(f64::NAN)));
+        assert_eq!(
+            k(Value::Float(f64::NAN)).cmp(&k(Value::Float(f64::NAN))),
+            Ordering::Equal
+        );
+        // Across kinds the order is unchanged: numbers, text, booleans.
+        assert!(k(Value::Int(1_000)) < k(Value::text("a")));
+        assert!(k(Value::text("a")) < k(Value::Bool(false)));
     }
 
     #[test]

@@ -138,7 +138,9 @@ pub struct Table {
     /// For each schema column: (group index, offset within the fragment).
     col_group: Vec<(usize, usize)>,
     next_key: RowKey,
-    pk_index: BTreeMap<KeyTuple, RowKey>,
+    /// Primary key → row, under the exact [`KeyTuple`] order. Behind an
+    /// `Arc`, like `order`, so snapshots can probe it.
+    pk_index: Arc<BTreeMap<KeyTuple, RowKey>>,
     /// Presentation order of rows — the positional index. Behind an `Arc`
     /// so snapshots share it copy-on-write with writers.
     order: Arc<CountedBtree>,
@@ -170,7 +172,7 @@ impl Table {
             groups,
             col_group: Vec::new(),
             next_key: 1,
-            pk_index: BTreeMap::new(),
+            pk_index: Arc::new(BTreeMap::new()),
             order: Arc::new(CountedBtree::new()),
             stats: TableStats::default(),
             wal: None,
@@ -434,7 +436,7 @@ impl Table {
         }
         Arc::make_mut(&mut self.order).insert_at(pos, key)?;
         if let Some(kt) = self.schema.key_of(&row) {
-            self.pk_index.insert(kt, key);
+            Arc::make_mut(&mut self.pk_index).insert(kt, key);
         }
         self.statistics.observe_row(&row);
         self.log(WalOp::Insert {
@@ -532,8 +534,9 @@ impl Table {
                         new_kt.0, self.name
                     )));
                 }
-                self.pk_index.remove(&old_kt);
-                self.pk_index.insert(new_kt, key);
+                let pk = Arc::make_mut(&mut self.pk_index);
+                pk.remove(&old_kt);
+                pk.insert(new_kt, key);
             }
         }
         self.write_fragment(g, key, &frag)?;
@@ -569,8 +572,9 @@ impl Table {
                         new_kt.0, self.name
                     )));
                 }
-                self.pk_index.remove(&old_kt);
-                self.pk_index.insert(new_kt, key);
+                let pk = Arc::make_mut(&mut self.pk_index);
+                pk.remove(&old_kt);
+                pk.insert(new_kt, key);
             }
         }
         for g in 0..self.groups.len() {
@@ -603,7 +607,7 @@ impl Table {
         if self.schema.has_pkey() {
             let row = self.get_row(key)?;
             let kt = self.key_of_row(&row)?;
-            self.pk_index.remove(&kt);
+            Arc::make_mut(&mut self.pk_index).remove(&kt);
         }
         for g in 0..self.groups.len() {
             if let Some((pidx, slot)) = Arc::make_mut(&mut self.groups[g].rowdir).remove(&key) {
@@ -643,7 +647,12 @@ impl Table {
         Ok(out)
     }
 
-    /// Lookup by primary key.
+    /// The row whose primary key is `kt`, in O(log n) through the key map.
+    /// The map's order is exact ([`KeyTuple`]), so a hit is the one row
+    /// for which SQL `=` holds on every key column when `kt`'s components
+    /// have the columns' own types — the planner's key probe
+    /// (`SELECT`, `UPDATE`, `DELETE … WHERE <pk> = literal`) relies on
+    /// that. `None` when no row has the key or the table has none.
     pub fn key_lookup(&self, kt: &KeyTuple) -> Option<RowKey> {
         self.pk_index.get(kt).copied()
     }
@@ -969,7 +978,7 @@ impl Table {
             groups,
             col_group: Vec::new(),
             next_key,
-            pk_index: BTreeMap::new(),
+            pk_index: Arc::new(BTreeMap::new()),
             order: Arc::new(CountedBtree::from_keys(order_keys)?),
             stats: TableStats::default(),
             wal: None,
@@ -982,7 +991,7 @@ impl Table {
             for key in t.order.to_vec() {
                 let row = t.get_row(key)?;
                 let kt = t.key_of_row(&row)?;
-                if t.pk_index.insert(kt, key).is_some() {
+                if Arc::make_mut(&mut t.pk_index).insert(kt, key).is_some() {
                     return Err(DsError::Storage(format!(
                         "snapshot: duplicate primary key in table {}",
                         t.name
@@ -1046,6 +1055,7 @@ impl Table {
             col_group: self.col_group.clone(),
             groups: self.groups.clone(),
             order: Arc::clone(&self.order),
+            pk_index: Arc::clone(&self.pk_index),
             version: self.version,
             col_stats: Arc::new(self.statistics.summaries()),
         }
@@ -1101,6 +1111,7 @@ pub struct TableSnapshot {
     col_group: Vec<(usize, usize)>,
     groups: Vec<Group>,
     order: Arc<CountedBtree>,
+    pk_index: Arc<BTreeMap<KeyTuple, RowKey>>,
     version: u64,
     /// Optimizer column summaries captured with the snapshot.
     col_stats: Arc<Vec<ColumnSummary>>,
@@ -1195,6 +1206,24 @@ impl TableSnapshot {
     /// the executor can hold it across an entire query without borrowing the
     /// catalog.
     pub fn into_iter_sparse(self, cols: Option<&[usize]>) -> SnapRowIter {
+        let keys = self.order.to_vec();
+        self.into_keys_sparse(keys, cols)
+    }
+
+    /// Lookup by primary key in this snapshot (see [`Table::key_lookup`]).
+    pub fn key_lookup(&self, kt: &KeyTuple) -> Option<RowKey> {
+        self.pk_index.get(kt).copied()
+    }
+
+    /// The key probe: the row whose primary key is `kt` as a stream of zero
+    /// or one rows, under the same sparse contract as
+    /// [`TableSnapshot::into_iter_sparse`].
+    pub fn into_probe_sparse(self, kt: &KeyTuple, cols: Option<&[usize]>) -> SnapRowIter {
+        let keys = self.key_lookup(kt).into_iter().collect();
+        self.into_keys_sparse(keys, cols)
+    }
+
+    fn into_keys_sparse(self, keys: Vec<RowKey>, cols: Option<&[usize]>) -> SnapRowIter {
         let groups = match cols {
             None => (0..self.groups.len()).collect(),
             Some(cols) => {
@@ -1205,7 +1234,7 @@ impl TableSnapshot {
             }
         };
         SnapRowIter {
-            keys: self.order.to_vec().into_iter(),
+            keys: keys.into_iter(),
             snap: self,
             groups,
         }

@@ -7,7 +7,8 @@
 //!
 //! The queries come from the whole golden corpus, plus property suites over
 //! random mixed-type (NULL/Int/Float) keys that drive the hash join, hash
-//! GROUP BY and hash DISTINCT paths.
+//! GROUP BY and hash DISTINCT paths, derived tables, and point statements
+//! on primary keys that take the key probe.
 
 use std::cmp::Ordering;
 use std::path::PathBuf;
@@ -242,4 +243,118 @@ fn property_derived_tables_match_naive() {
             assert_eq!(counters(&wb), before, "EXPLAIN executed\n  {sql}");
         }
     });
+}
+
+/// One key literal for the key-probe property: an INT key near 2^53 (where
+/// a float round trip merges neighbours), a small or negative one, or a
+/// TEXT key from a pool of case variants.
+fn rand_key_literal(rng: &mut Rng, text: bool) -> String {
+    if text {
+        const NAMES: [&str; 8] = ["ann", "Ann", "ANN", "aNn", "bob", "Bob", "b", "B"];
+        format!("'{}'", NAMES[rng.index(NAMES.len())])
+    } else if rng.bool() {
+        (9_007_199_254_740_990 + rng.below(6) as i64).to_string()
+    } else {
+        (rng.below(9) as i64 - 4).to_string()
+    }
+}
+
+#[test]
+fn property_key_probes_match_naive() {
+    // Point statements on INT and TEXT primary keys take the key probe.
+    // SELECTs must match the naive evaluator, which always scans (L6);
+    // UPDATE and DELETE must match a twin workbook whose `WHERE` hides the
+    // key behind `id + 0` / `id || ''`, which no probe can use, on the
+    // affected count, on failure, and on the final table.
+    cases(iters(), 0x004B_E79A_0BE5, |rng| {
+        let text = rng.bool();
+        let (ty, hide) = if text {
+            ("TEXT", "id || ''")
+        } else {
+            ("INT", "id + 0")
+        };
+        let ddl = format!("CREATE TABLE t (id {ty} PRIMARY KEY, v INT)");
+        let mut wb = Workbook::new();
+        let mut twin = Workbook::new();
+        wb.execute(&ddl).unwrap();
+        twin.execute(&ddl).unwrap();
+        for i in 0..rng.usize_in(0, 12) {
+            let sql = format!(
+                "INSERT INTO t VALUES ({}, {i})",
+                rand_key_literal(rng, text)
+            );
+            assert_eq!(
+                wb.execute(&sql).is_ok(),
+                twin.execute(&sql).is_ok(),
+                "{sql}"
+            );
+        }
+        let scanned = |wb: &Workbook| (wb.metrics_snapshot().counter("exec_rows_scanned")).unwrap();
+        for _ in 0..12 {
+            let k = rand_key_literal(rng, text);
+            // A residual conjunct the probed row must still pass.
+            let residual = match rng.below(3) {
+                0 => format!(" AND v > {}", rng.below(8)),
+                _ => String::new(),
+            };
+            match rng.below(6) {
+                0 | 1 => {
+                    let point = format!("SELECT * FROM t WHERE id = {k}");
+                    let before = scanned(&wb);
+                    wb.query(&point).unwrap();
+                    assert!(scanned(&wb) - before <= 1, "id = {k} did not probe");
+                    check(&mut wb, &point, "probe");
+                    check(
+                        &mut wb,
+                        &format!("SELECT v FROM t WHERE {k} = id AND v > {}", rng.below(8)),
+                        "probe with residual",
+                    );
+                    if !text {
+                        // Another kind of literal scans; numeric equality
+                        // then merges neighbours past 2^53.
+                        check(
+                            &mut wb,
+                            &format!("SELECT * FROM t WHERE id = {k}.0"),
+                            "scan",
+                        );
+                    }
+                }
+                2 => {
+                    let set = format!("UPDATE t SET v = v + 1 WHERE id = {k}{residual}");
+                    let hidden = format!("UPDATE t SET v = v + 1 WHERE {hide} = {k}{residual}");
+                    same_outcome(&mut wb, &mut twin, &set, &hidden);
+                }
+                3 => {
+                    // Key-changing: may collide with another row's key.
+                    let to = rand_key_literal(rng, text);
+                    let set = format!("UPDATE t SET id = {to} WHERE id = {k}{residual}");
+                    let hidden = format!("UPDATE t SET id = {to} WHERE {hide} = {k}{residual}");
+                    same_outcome(&mut wb, &mut twin, &set, &hidden);
+                }
+                _ => {
+                    let del = format!("DELETE FROM t WHERE id = {k}{residual}");
+                    let hidden = format!("DELETE FROM t WHERE {hide} = {k}{residual}");
+                    same_outcome(&mut wb, &mut twin, &del, &hidden);
+                }
+            }
+        }
+    });
+}
+
+/// Run `probed` on `wb` and `hidden` on `twin`: both fail or both report
+/// the same affected count, and the tables end equal.
+fn same_outcome(wb: &mut Workbook, twin: &mut Workbook, probed: &str, hidden: &str) {
+    let got = wb.execute(probed).map(|r| r.affected());
+    let want = twin.execute(hidden).map(|r| r.affected());
+    match (&got, &want) {
+        (Ok(a), Ok(b)) => assert_eq!(a, b, "affected rows differ\n  {probed}\n  {hidden}"),
+        (Err(_), Err(_)) => {}
+        _ => panic!("outcomes differ: {got:?} vs {want:?}\n  {probed}\n  {hidden}"),
+    }
+    let all = "SELECT * FROM t";
+    assert_eq!(
+        sorted(wb.query(all).unwrap().1),
+        sorted(twin.query(all).unwrap().1),
+        "tables diverged after\n  {probed}"
+    );
 }
