@@ -22,11 +22,15 @@
 //!    (drop what a formula there was indexed under, re-insert the formula
 //!    there now). The dirty set then stabs the index: each changed position
 //!    yields the formulas with a precedent rectangle containing it, and a
-//!    BFS closes that transitively. The work set is ordered by Kahn's
-//!    algorithm, whose edges come from stabbing the index at each member's
-//!    own position, and re-evaluated. Cells left unordered sit on a
-//!    reference cycle (or feed from one) and are poisoned with `#CYCLE!`.
-//!    No step looks at a formula outside the work set.
+//!    BFS closes that transitively. The walk stabs each dirty position and
+//!    each member once, and records as it goes the edges it finds: a stab
+//!    at a member's own position (a dirty formula's included) yields that
+//!    member's out-edges. Members get dense ordinals in sorted order, and
+//!    Kahn's algorithm orders them over those edges with flat arrays, then
+//!    they are re-evaluated. Cells left unordered sit on a reference cycle
+//!    (or feed from one) and are poisoned with `#CYCLE!`. No step looks at
+//!    a formula outside the work set. A full pass is the same walk, seeded
+//!    with every formula.
 //!
 //! **A shared range is read once per pass.** Many formulas read the same
 //! range (a column total beside every row, ten `SUM(A1:A3000)+k`). Within
@@ -50,7 +54,8 @@
 //! `calc_cells_recomputed` (see `docs/OBSERVABILITY.md`) let tests pin the
 //! "unrelated cells are not recomputed" property, not just final values,
 //! and `calc_graph_nodes_visited` pins that a pass examined no other
-//! formula.
+//! formula; `calc_index_stabs` pins that it stabbed the index once per
+//! dirty position and member.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -58,6 +63,7 @@ use std::ops::ControlFlow;
 
 use dataspread_formula::{Acc, CellProvider, Func, GridOp};
 use dataspread_gridstore::{RTree, Rect};
+use dataspread_obs::Counter;
 use dataspread_types::{CellAddr, CellError, DsResult, Range, SheetRef, Value};
 
 use crate::sheet::Sheet;
@@ -69,7 +75,6 @@ type CellId = (usize, CellAddr);
 /// The dependents index: answers "which formulas read this cell?" by
 /// stabbing an R-tree instead of scanning every formula — provenance
 /// recorded once, when a formula is typed, and consulted on every edit.
-#[derive(Default)]
 pub(crate) struct DepIndex {
     /// One tree per *precedent* sheet, holding every formula's resolved,
     /// deduplicated precedent rectangles with the formula as payload.
@@ -85,6 +90,9 @@ pub(crate) struct DepIndex {
     /// edit): the next flush runs a full pass, which builds the index and
     /// the cycle set.
     stale: bool,
+    /// The registry's `calc_index_stabs`: one per tree search in
+    /// [`DepIndex::readers`].
+    stabs: Counter,
 }
 
 impl std::fmt::Debug for DepIndex {
@@ -98,12 +106,21 @@ impl std::fmt::Debug for DepIndex {
 }
 
 impl DepIndex {
-    /// An index the next flush must rebuild with a full pass.
-    pub(crate) fn stale() -> Self {
+    /// An empty index counting its stabs on `stabs`; `stale` when the next
+    /// flush must build it with a full pass.
+    pub(crate) fn new(stabs: Counter, stale: bool) -> Self {
         DepIndex {
-            stale: true,
-            ..DepIndex::default()
+            trees: Vec::new(),
+            by_formula: HashMap::new(),
+            cyclic: HashSet::new(),
+            stale,
+            stabs,
         }
+    }
+
+    /// Drop every entry and the cycle set, for a full pass to rebuild.
+    fn clear(&mut self) {
+        *self = DepIndex::new(self.stabs.clone(), false);
     }
 
     fn insert(&mut self, id: CellId, precs: Vec<(usize, Range)>) {
@@ -134,15 +151,31 @@ impl DepIndex {
     }
 
     /// Formulas with an indexed precedent rectangle containing the cell,
-    /// once per such rectangle, in sorted order.
+    /// once per such rectangle, in sorted order. A sheet no formula reads
+    /// has an empty tree or none, and nothing to stab.
     fn readers(&self, (si, addr): CellId) -> Vec<CellId> {
-        let mut out = match self.trees.get(si) {
-            Some(tree) => tree.point_search(addr.row, addr.col),
-            None => Vec::new(),
+        let Some(tree) = self.trees.get(si).filter(|t| !t.is_empty()) else {
+            return Vec::new();
         };
+        self.stabs.bump();
+        let mut out = tree.point_search(addr.row, addr.col);
         out.sort_unstable();
         out
     }
+}
+
+/// One recompute pass: its work set and the dependency edges among it,
+/// over dense ordinals.
+struct Schedule {
+    /// The members, sorted; a member's ordinal is its index here.
+    members: Vec<CellId>,
+    /// Member `m`'s readers are `readers[start[m]..start[m + 1]]`, once per
+    /// indexed precedent rectangle of the reader containing `m`, sorted.
+    start: Vec<u32>,
+    readers: Vec<u32>,
+    /// Edges into each member: its entries in `readers`, plus one per
+    /// rectangle over a poisoned formula outside the pass.
+    indegree: Vec<u32>,
 }
 
 /// A range fold's key: (resolved sheet index, normalised range, function).
@@ -297,112 +330,161 @@ impl Workbook {
     /// Rebuild the dependents index and re-evaluate every formula in the
     /// workbook (topological order, cycles poisoned). Used on a stale index
     /// (after structural edits and decoding), on sheet creation, and by
-    /// `recalculate`.
+    /// `recalculate`. The walk is the incremental one, seeded with every
+    /// formula.
     pub(crate) fn recompute_all(&mut self) {
-        let mut deps = DepIndex::default();
-        let mut work: Vec<CellId> = Vec::new();
+        self.deps.clear();
+        let mut all: Vec<CellId> = Vec::new();
         for i in 0..self.sheets.len() {
             for addr in self.sheets[i].formula_addrs() {
-                deps.insert((i, addr), self.precedents((i, addr)));
-                work.push((i, addr));
+                let precs = self.precedents((i, addr));
+                self.deps.insert((i, addr), precs);
+                all.push((i, addr));
             }
         }
-        self.deps = deps;
-        self.recompute_set(work);
+        let pass = self.schedule(&all);
+        self.recompute_set(pass);
     }
 
     /// Incremental pass: re-evaluate exactly the formulas downstream of the
-    /// edited positions, found by stabbing the index — breadth-first from
-    /// the edits, then from each formula scheduled.
+    /// edited positions.
     fn recompute_after(&mut self, dirty: &[CellId]) {
-        // Seed: edited cells that are themselves formulas must re-evaluate.
-        let mut work: HashSet<CellId> = dirty
+        let pass = self.schedule(dirty);
+        if !pass.members.is_empty() {
+            self.recompute_set(pass);
+        }
+    }
+
+    /// Find the work set of the edited positions `dirty` and its edges.
+    /// Edited cells that are themselves formulas are members; the walk
+    /// stabs the index once at every dirty position and once at every
+    /// member it adds, breadth-first, and a stab at a member's position
+    /// yields that member's out-edges (`=A1` in A1 is a self-loop).
+    fn schedule(&self, dirty: &[CellId]) -> Schedule {
+        // Members in discovery order, their discovery indices, and each
+        // one's out-edges as a span of `edges` (discovery indices).
+        let mut found: Vec<CellId> = dirty
             .iter()
             .copied()
             .filter(|&(i, a)| self.sheets[i].formula_text(a).is_some())
             .collect();
-        let mut edits = dirty.iter().copied();
-        let mut queue: VecDeque<CellId> = VecDeque::new();
-        while let Some(pos) = edits.next().or_else(|| queue.pop_front()) {
+        let mut slot: HashMap<CellId, u32> = (0..)
+            .zip(found.iter().copied())
+            .map(|(k, id)| (id, k))
+            .collect();
+        let mut span: Vec<(u32, u32)> = vec![(0, 0); found.len()];
+        let mut edges: Vec<u32> = Vec::new();
+        let mut edits = dirty.iter();
+        let mut next = found.len();
+        loop {
+            // Every dirty position first (a dirty formula is stabbed here
+            // and never again), then each member the walk added.
+            let (pos, member) = match edits.next() {
+                Some(&pos) => (pos, slot.get(&pos).copied()),
+                None if next < found.len() => {
+                    next += 1;
+                    (found[next - 1], Some(next as u32 - 1))
+                }
+                None => break,
+            };
+            let first = edges.len() as u32;
             for f in self.deps.readers(pos) {
-                if work.insert(f) {
-                    queue.push_back(f);
+                let k = *slot.entry(f).or_insert_with(|| {
+                    found.push(f);
+                    span.push((0, 0));
+                    found.len() as u32 - 1
+                });
+                if member.is_some() {
+                    edges.push(k);
                 }
             }
-        }
-        if !work.is_empty() {
-            self.recompute_set(work.into_iter().collect());
-        }
-    }
-
-    /// Evaluate `members` in dependency order; whatever Kahn's
-    /// algorithm cannot order is on (or downstream of) a cycle → `#CYCLE!`.
-    fn recompute_set(&mut self, mut members: Vec<CellId>) {
-        self.obs.calc_passes.bump();
-        self.obs.calc_graph_nodes_visited.add(members.len() as u64);
-        // Deterministic member order keeps evaluation order (and therefore
-        // tie-breaks) stable across runs.
-        members.sort_unstable();
-        // Edge g → f once per indexed precedent rectangle of f containing g
-        // (both in the work set). A self-loop (`=A1` in A1) counts like any
-        // other cycle edge.
-        let mut indegree: HashMap<CellId, usize> = members.iter().map(|id| (*id, 0)).collect();
-        let mut dependents: HashMap<CellId, Vec<CellId>> = HashMap::new();
-        for &g in &members {
-            for f in self.deps.readers(g) {
-                if let Some(d) = indegree.get_mut(&f) {
-                    *d += 1;
-                    dependents.entry(g).or_default().push(f);
-                }
+            if let Some(m) = member {
+                span[m as usize] = (first, edges.len() as u32);
             }
+        }
+        // Ordinals follow sorted `CellId` order, which keeps evaluation
+        // order (and therefore tie-breaks) stable across runs.
+        let mut order: Vec<u32> = (0..found.len() as u32).collect();
+        order.sort_unstable_by_key(|&k| found[k as usize]);
+        let mut ordinal = vec![0u32; found.len()];
+        for (o, &k) in (0..).zip(&order) {
+            ordinal[k as usize] = o;
+        }
+        let mut pass = Schedule {
+            members: order.iter().map(|&k| found[k as usize]).collect(),
+            start: Vec::with_capacity(found.len() + 1),
+            readers: Vec::with_capacity(edges.len()),
+            indegree: vec![0; found.len()],
+        };
+        pass.start.push(0);
+        for &k in &order {
+            let (a, b) = span[k as usize];
+            for &f in &edges[a as usize..b as usize] {
+                let f = ordinal[f as usize];
+                pass.readers.push(f);
+                pass.indegree[f as usize] += 1;
+            }
+            pass.start.push(pass.readers.len() as u32);
         }
         // A poisoned formula outside the work set feeds its readers an edge
         // that never resolves: they stay unordered and are poisoned too.
         for &c in &self.deps.cyclic {
-            if !indegree.contains_key(&c) {
+            if !slot.contains_key(&c) {
                 for f in self.deps.readers(c) {
-                    if let Some(d) = indegree.get_mut(&f) {
-                        *d += 1;
+                    if let Some(&k) = slot.get(&f) {
+                        pass.indegree[ordinal[k as usize] as usize] += 1;
                     }
                 }
             }
         }
-        let mut queue: VecDeque<CellId> = members
-            .iter()
-            .copied()
-            .filter(|id| indegree.get(id) == Some(&0))
+        pass
+    }
+
+    /// Evaluate a pass's members in dependency order; whatever Kahn's
+    /// algorithm cannot order is on (or downstream of) a cycle → `#CYCLE!`.
+    fn recompute_set(&mut self, pass: Schedule) {
+        let Schedule {
+            members,
+            start,
+            readers,
+            mut indegree,
+        } = pass;
+        self.obs.calc_passes.bump();
+        self.obs.calc_graph_nodes_visited.add(members.len() as u64);
+        let mut queue: VecDeque<u32> = (0..)
+            .zip(&indegree)
+            .filter(|(_, &d)| d == 0)
+            .map(|(m, _)| m)
             .collect();
-        let mut done: HashSet<CellId> = HashSet::new();
         let memo = RangeMemo::default();
-        // Topological level per cell: roots sit at level 1, a dependent sits
-        // one past its deepest evaluated precedent. The max over the pass is
-        // the critical-path depth the `calc_topo_depth` gauge reports.
-        let mut level: HashMap<CellId, u64> = queue.iter().map(|id| (*id, 1)).collect();
-        let mut max_level: u64 = if queue.is_empty() { 0 } else { 1 };
-        while let Some(id) = queue.pop_front() {
-            if !done.insert(id) {
-                continue;
-            }
-            self.eval_formula_cell(id, &memo);
-            let lvl = level.get(&id).copied().unwrap_or(1);
-            max_level = max_level.max(lvl);
-            for d in dependents.remove(&id).into_iter().flatten() {
-                let slot = level.entry(d).or_insert(0);
-                *slot = (*slot).max(lvl + 1);
-                if let Some(slot) = indegree.get_mut(&d) {
-                    *slot -= 1;
-                    if *slot == 0 {
-                        queue.push_back(d);
-                    }
+        // Topological level per member: roots sit at level 1, a dependent
+        // sits one past its deepest evaluated precedent. The max over the
+        // pass is the critical-path depth the `calc_topo_depth` gauge
+        // reports.
+        let mut level = vec![1u32; members.len()];
+        let mut max_level = 0;
+        while let Some(m) = queue.pop_front() {
+            let m = m as usize;
+            self.eval_formula_cell(members[m], &memo);
+            max_level = max_level.max(level[m]);
+            for &d in &readers[start[m] as usize..start[m + 1] as usize] {
+                let d = d as usize;
+                level[d] = level[d].max(level[m] + 1);
+                indegree[d] -= 1;
+                if indegree[d] == 0 {
+                    queue.push_back(d as u32);
                 }
             }
         }
-        self.obs.calc_topo_depth.set(max_level as i64);
+        self.obs.calc_topo_depth.set(i64::from(max_level));
         self.obs.calc_range_memo_hits.add(memo.hits.get());
-        // Leftovers are cyclic (or fed by a cycle): poison them.
-        for id in members {
-            if done.contains(&id) {
-                self.deps.cyclic.remove(&id);
+        // A member was evaluated exactly when its in-degree reached 0. The
+        // leftovers are cyclic (or fed by a cycle): poison them.
+        for (id, left) in members.into_iter().zip(indegree) {
+            if left == 0 {
+                if !self.deps.cyclic.is_empty() {
+                    self.deps.cyclic.remove(&id);
+                }
             } else {
                 self.sheets[id.0].set_cached(id.1, Value::Error(CellError::Cycle));
                 self.obs.calc_cells_recomputed.bump();
@@ -517,8 +599,11 @@ mod tests {
         wb.set_input(s, a("B1"), "=A1+1").unwrap();
         // C1 never evaluates A1 (the IF takes the other branch), but it is
         // fed by a cycle; the pass sees only C1 and must still poison it.
+        // It stabs C1, then each poisoned formula outside it (A1, B1).
+        let stabs = counter(&wb, "calc_index_stabs");
         wb.set_input(s, a("C1"), "=IF(D1>0,A1,7)").unwrap();
         assert_eq!(wb.cell(s, a("C1")), Value::Error(CellError::Cycle));
+        assert_eq!(counter(&wb, "calc_index_stabs") - stabs, 3);
         wb.recalculate();
         assert_eq!(wb.cell(s, a("C1")), Value::Error(CellError::Cycle));
         // Breaking the cycle frees the reader.
@@ -643,32 +728,46 @@ mod tests {
         let recomputed = |wb: &Workbook| counter(wb, "calc_cells_recomputed");
         let passes = |wb: &Workbook| counter(wb, "calc_passes");
         let hits = |wb: &Workbook| wb.obs.calc_range_memo_hits.get();
+        // One stab per dirty position and one per member the walk adds.
+        let stabs = |wb: &Workbook| counter(wb, "calc_index_stabs");
 
         // An edit nothing reads examines no formula and runs no pass.
-        let (v0, p0) = (visited(&wb), passes(&wb));
+        let (v0, p0, t0) = (visited(&wb), passes(&wb), stabs(&wb));
         wb.set_value(s, a("H5"), Value::Int(1)).unwrap();
         assert_eq!(visited(&wb) - v0, 0);
         assert_eq!(passes(&wb) - p0, 0);
+        assert_eq!(stabs(&wb) - t0, 1);
 
         // A leaf edit reaches B5, its block sum D1 and the ten column sums;
         // the first column sum walks A1:A3000 and the other nine reuse it.
-        let (v0, r0, h0) = (visited(&wb), recomputed(&wb), hits(&wb));
+        let (v0, r0, h0, t0) = (visited(&wb), recomputed(&wb), hits(&wb), stabs(&wb));
         wb.set_value(s, a("A5"), Value::Int(1000)).unwrap();
         assert_eq!(visited(&wb) - v0, 12);
         assert_eq!(recomputed(&wb) - r0, 12);
         assert_eq!(hits(&wb) - h0, 9);
+        assert_eq!(stabs(&wb) - t0, 13);
         assert_eq!(wb.cell(s, a("B5")), Value::Int(2001));
         let total: i64 = (0..3000).map(|i| i % 97).sum::<i64>() - 4 + 1000;
         assert_eq!(wb.cell(s, a("D40")), Value::Int(total + 9));
 
         // A chain-head edit reaches exactly the 300 chain cells, in order.
-        let (v0, r0, h0) = (visited(&wb), recomputed(&wb), hits(&wb));
+        let (v0, r0, h0, t0) = (visited(&wb), recomputed(&wb), hits(&wb), stabs(&wb));
         wb.set_value(s, a("G1"), Value::Int(7)).unwrap();
         assert_eq!(visited(&wb) - v0, 300);
         assert_eq!(recomputed(&wb) - r0, 300);
         assert_eq!(hits(&wb) - h0, 0);
+        assert_eq!(stabs(&wb) - t0, 301);
         assert_eq!(wb.cell(s, a("C300")), Value::Int(306));
         assert_eq!(wb.obs.calc_topo_depth.get(), 300);
+
+        // A fan-out edit reaches the 150 readers of $E$1, one level deep.
+        let (v0, r0, t0) = (visited(&wb), recomputed(&wb), stabs(&wb));
+        wb.set_value(s, a("E1"), Value::Int(5)).unwrap();
+        assert_eq!(visited(&wb) - v0, 150);
+        assert_eq!(recomputed(&wb) - r0, 150);
+        assert_eq!(stabs(&wb) - t0, 151);
+        assert_eq!(wb.cell(s, a("F150")), Value::Int(155));
+        assert_eq!(wb.obs.calc_topo_depth.get(), 1);
     }
 
     #[test]
@@ -779,6 +878,37 @@ mod tests {
         assert_eq!(eval(&mut wb, "=MIN(A1:D1,-1)"), Value::Int(-1));
         assert_eq!(eval(&mut wb, "=MAX(C1,D1,2)"), Value::Int(2));
         assert_eq!(eval(&mut wb, "=SUM(A1:AH1)"), Value::Float(8.5));
+    }
+
+    #[test]
+    fn non_finite_cells_make_min_max_num_through_the_range_memo() {
+        let mut wb = Workbook::new();
+        let s = wb.current_sheet();
+        wb.set_value(s, a("A1"), Value::Float(f64::NAN)).unwrap();
+        wb.set_value(s, a("A2"), Value::Int(2)).unwrap();
+        wb.set_value(s, a("A3"), Value::Float(f64::INFINITY))
+            .unwrap();
+        let readers = [
+            ("B1", "=MIN(A1:A3)"),
+            ("B2", "=MIN(A1:A3)"),
+            ("C1", "=MAX(A2:A3)"),
+            ("C2", "=MAX(A2:A3)"),
+            ("D1", "=SUM(A1:A3)"),
+            ("D2", "=AVERAGE(A1:A3)"),
+            ("D3", "=A1+A2"),
+        ];
+        for (cell, src) in readers {
+            wb.set_input(s, a(cell), src).unwrap();
+        }
+        // One edit re-evaluates every reader in one pass: the second
+        // reader of each MIN/MAX range takes the first one's fold from the
+        // memo, non-finite flag included.
+        let hits = wb.obs.calc_range_memo_hits.get();
+        wb.set_value(s, a("A2"), Value::Int(3)).unwrap();
+        assert_eq!(wb.obs.calc_range_memo_hits.get() - hits, 2);
+        for (cell, src) in readers {
+            assert_eq!(wb.cell(s, a(cell)), Value::Error(CellError::Num), "{src}");
+        }
     }
 
     #[test]

@@ -36,6 +36,8 @@ pub(crate) struct WbObs {
     pub calc_graph_nodes_visited: Counter,
     /// Aggregate range folds served from a recompute pass's memo.
     pub calc_range_memo_hits: Counter,
+    /// Point stabs of the dependents index.
+    pub calc_index_stabs: Counter,
     /// Bound-region refresh passes that re-rendered a table.
     pub bind_refreshes: Counter,
     /// Sheet cells actually rewritten by binding sync diffs.
@@ -77,6 +79,7 @@ impl Default for WbObs {
             calc_topo_depth: registry.gauge("calc_topo_depth"),
             calc_graph_nodes_visited: registry.counter("calc_graph_nodes_visited"),
             calc_range_memo_hits: registry.counter("calc_range_memo_hits"),
+            calc_index_stabs: registry.counter("calc_index_stabs"),
             bind_refreshes: registry.counter("bind_refreshes"),
             bind_cells_diffed: registry.counter("bind_cells_diffed"),
             registry,

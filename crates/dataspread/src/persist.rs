@@ -198,17 +198,19 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
             "workbook snapshot: invalid sheet table".into(),
         ));
     }
+    let obs = WbObs::default();
+    // Decoded formulas are not indexed yet: the first flush (the one
+    // `open` runs) recomputes in full and builds the index.
+    let deps = crate::calc::DepIndex::new(obs.calc_index_stabs.clone(), true);
     Ok(Workbook {
         sheets,
         by_name,
         catalog,
         current,
         store: None,
-        obs: WbObs::default(),
+        obs,
         bindings,
-        // Decoded formulas are not indexed yet: the first flush (the one
-        // `open` runs) recomputes in full and builds the index.
-        deps: crate::calc::DepIndex::stale(),
+        deps,
     })
 }
 

@@ -79,16 +79,18 @@ impl Default for Workbook {
 impl Workbook {
     /// A workbook with one empty sheet, `Sheet1`.
     pub fn new() -> Self {
+        let obs = WbObs::default();
+        // No formulas yet: the empty index is already exact.
+        let deps = DepIndex::new(obs.calc_index_stabs.clone(), false);
         let mut wb = Workbook {
             sheets: Vec::new(),
             by_name: HashMap::new(),
             catalog: Catalog::new(),
             current: 0,
             store: None,
-            obs: WbObs::default(),
+            obs,
             bindings: BindingRegistry::default(),
-            // No formulas yet: the empty index is already exact.
-            deps: DepIndex::default(),
+            deps,
         };
         wb.add_sheet("Sheet1")
             .expect("fresh workbook accepts a sheet");

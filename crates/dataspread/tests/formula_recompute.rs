@@ -208,6 +208,8 @@ fn formula_cell(wb: &Workbook, sheet: SheetId, rng: &mut testkit::Rng) -> Option
 enum Edit {
     Input(SheetId, CellAddr, String),
     Value(SheetId, CellAddr, Value),
+    /// A block of literals (blanks clear) written by one `set_region`.
+    Region(SheetId, CellAddr, Vec<Vec<Value>>),
     /// Insert rows, delete rows, insert columns, delete columns (0..=3).
     Structural(u32, SheetId, u32, u32),
     AddLater,
@@ -221,6 +223,9 @@ impl Edit {
             }
             Edit::Value(s, a, v) => {
                 wb.set_value(*s, *a, v.clone()).unwrap();
+            }
+            Edit::Region(s, a, rows) => {
+                wb.set_region(*s, *a, rows).unwrap();
             }
             Edit::Structural(k, s, at, n) => match k {
                 0 => wb.insert_rows(*s, *at, *n),
@@ -261,7 +266,7 @@ fn incremental_matches_full_after_every_edit() {
             let edit = if step == later_at {
                 Edit::AddLater
             } else {
-                match rng.weighted(&[5, 4, 3, 2, 2, 1, 2, 2, 4]) {
+                match rng.weighted(&[5, 4, 3, 2, 2, 1, 2, 2, 3, 4]) {
                     0 => Edit::Input(sheet, rand_addr(rng), rng.below(100).to_string()),
                     1 => Edit::Input(sheet, rand_addr(rng), rand_formula(rng, &names)),
                     // Retype a formula with new precedents.
@@ -288,6 +293,25 @@ fn incremental_matches_full_after_every_edit() {
                     7 => {
                         let (sheet, addr) = self_refs.pop().unwrap_or((sheet, rand_addr(rng)));
                         Edit::Input(sheet, addr, rand_formula(rng, &names))
+                    }
+                    // A block of up to 3×3 literals over a formula cell (or
+                    // anywhere): one flush stabs several dirty positions,
+                    // some of them formulas that leave the work set.
+                    8 => {
+                        let cell = formula_or_any(rng);
+                        let at = CellAddr::new(
+                            cell.row.saturating_sub(rng.u32_in(0, 3)),
+                            cell.col.saturating_sub(rng.u32_in(0, 3)),
+                        );
+                        let (h, w) = (rng.usize_in(1, 4), rng.usize_in(1, 4));
+                        let mut cell_value = || match rng.below(4) {
+                            0 => Value::Empty,
+                            _ => Value::Int(rng.below(100) as i64),
+                        };
+                        let rows = (0..h)
+                            .map(|_| (0..w).map(|_| cell_value()).collect())
+                            .collect();
+                        Edit::Region(sheet, at, rows)
                     }
                     _ => Edit::Structural(
                         rng.u32_in(0, 4),

@@ -248,6 +248,9 @@ pub struct Acc {
     int_sum: i64,
     float_sum: f64,
     is_float: bool,
+    /// Some input was NaN or ±∞: every aggregate over it is `#NUM!`, as
+    /// arithmetic on it is (the sums get there through [`num`]).
+    non_finite: bool,
     /// Keep `min`/`max` up to date: only `MIN`/`MAX` read them.
     extremes: bool,
     min: Option<Value>,
@@ -262,6 +265,7 @@ impl Acc {
             int_sum: 0,
             float_sum: 0.0,
             is_float: false,
+            non_finite: false,
             extremes: matches!(func, Func::Min | Func::Max),
             min: None,
             max: None,
@@ -308,6 +312,7 @@ impl Acc {
             },
             other => {
                 let f = other.coerce_f64().unwrap_or(0.0);
+                self.non_finite |= !f.is_finite();
                 if !self.is_float {
                     self.is_float = true;
                     self.float_sum = self.int_sum as f64;
@@ -525,6 +530,7 @@ fn call(f: Func, args: &[Expr], cells: &dyn CellProvider) -> Value {
                 }
             }
         }
+        Func::Min | Func::Max if acc.non_finite => Value::Error(CellError::Num),
         Func::Min => acc.min.unwrap_or(Value::Int(0)),
         Func::Max => acc.max.unwrap_or(Value::Int(0)),
         Func::If | Func::Vlookup | Func::Concat => unreachable!("handled above"),
@@ -629,6 +635,33 @@ mod tests {
         assert_eq!(run("=SUM(A1:A2)", &g), Value::Error(CellError::Ref));
         assert_eq!(run("=A1+1", &g), Value::Error(CellError::Ref));
         assert_eq!(run("=A1=A1", &g), Value::Error(CellError::Ref));
+    }
+
+    #[test]
+    fn non_finite_inputs_make_every_aggregate_num() {
+        let mut g = Grid::default();
+        g.set("A1", f64::NAN)
+            .set("A2", 2)
+            .set("A3", f64::INFINITY)
+            .set("A4", f64::NEG_INFINITY);
+        let num = Value::Error(CellError::Num);
+        for src in [
+            "=MIN(A1:A3)",
+            "=MAX(A1:A3)",
+            "=MAX(A2:A3)",
+            "=MIN(A2:A4)",
+            "=MIN(A2,A3)",
+            "=SUM(A1:A3)",
+            "=AVG(A1:A3)",
+            "=A1+A2",
+            "=A2+A3",
+        ] {
+            assert_eq!(run(src, &g), num, "{src}");
+        }
+        // COUNT only counts; finite ranges are untouched.
+        assert_eq!(run("=COUNT(A1:A4)", &g), Value::Int(4));
+        assert_eq!(run("=MIN(A2:A2)", &g), Value::Int(2));
+        assert_eq!(run("=MAX(A2,1.5)", &g), Value::Int(2));
     }
 
     #[test]

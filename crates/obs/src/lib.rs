@@ -339,12 +339,17 @@ pub const METRICS: &[MetricSpec] = &[
     MetricSpec {
         name: "calc_graph_nodes_visited",
         kind: MetricKind::Counter,
-        help: "Formula cells recompute passes examined (work set plus precedent tests)",
+        help: "Formula cells recompute passes examined (each pass's work set)",
     },
     MetricSpec {
         name: "calc_range_memo_hits",
         kind: MetricKind::Counter,
         help: "Aggregate range folds served from a recompute pass's memo instead of a walk",
+    },
+    MetricSpec {
+        name: "calc_index_stabs",
+        kind: MetricKind::Counter,
+        help: "Point stabs of the formula dependents index: one per dirty position or work-set member on a sheet some formula reads, one per poisoned formula outside the pass",
     },
     MetricSpec {
         name: "bind_refreshes",
