@@ -86,9 +86,8 @@ pub(crate) struct DepIndex {
     /// cycle or fed by one). A later pass that leaves one out of its work
     /// set still poisons the members it feeds, as a full pass would.
     cyclic: HashSet<CellId>,
-    /// Not built yet (a decoded workbook) or out of date (a structural
-    /// edit): the next flush runs a full pass, which builds the index and
-    /// the cycle set.
+    /// Out of date (a structural edit): the next flush runs a full pass,
+    /// which rebuilds the index and the cycle set.
     stale: bool,
     /// The registry's `calc_index_stabs`: one per tree search in
     /// [`DepIndex::readers`].
@@ -106,21 +105,20 @@ impl std::fmt::Debug for DepIndex {
 }
 
 impl DepIndex {
-    /// An empty index counting its stabs on `stabs`; `stale` when the next
-    /// flush must build it with a full pass.
-    pub(crate) fn new(stabs: Counter, stale: bool) -> Self {
+    /// An empty index counting its stabs on `stabs`.
+    pub(crate) fn new(stabs: Counter) -> Self {
         DepIndex {
             trees: Vec::new(),
             by_formula: HashMap::new(),
             cyclic: HashSet::new(),
-            stale,
+            stale: false,
             stabs,
         }
     }
 
     /// Drop every entry and the cycle set, for a full pass to rebuild.
     fn clear(&mut self) {
-        *self = DepIndex::new(self.stabs.clone(), false);
+        *self = DepIndex::new(self.stabs.clone());
     }
 
     fn insert(&mut self, id: CellId, precs: Vec<(usize, Range)>) {
@@ -307,9 +305,9 @@ impl Workbook {
 
     /// Fold every sheet's edited cells into the dependents index and
     /// recompute what they invalidate — everything, when a structural edit
-    /// or a decode left the index stale. Cheap no-op when nothing is
-    /// pending and the index is built. Called by the write boundary
-    /// (`Workbook::edit`) and once by `open` after WAL replay.
+    /// left the index stale. Cheap no-op when nothing is pending and the
+    /// index is current. Called by the write boundary (`Workbook::edit`)
+    /// and once by `open` after WAL replay.
     pub(crate) fn flush_grid(&mut self) {
         if !self.deps.stale && self.sheets.iter().all(|s| !s.has_pending()) {
             return;
@@ -329,10 +327,17 @@ impl Workbook {
 
     /// Rebuild the dependents index and re-evaluate every formula in the
     /// workbook (topological order, cycles poisoned). Used on a stale index
-    /// (after structural edits and decoding), on sheet creation, and by
-    /// `recalculate`. The walk is the incremental one, seeded with every
-    /// formula.
+    /// (after structural edits), on sheet creation, and by `recalculate`.
+    /// The walk is the incremental one, seeded with every formula.
     pub(crate) fn recompute_all(&mut self) {
+        let all = self.index_all();
+        let pass = self.schedule(&all);
+        self.recompute_set(pass);
+    }
+
+    /// Rebuild the dependents index from every formula, by inserts, and
+    /// return the formulas.
+    fn index_all(&mut self) -> Vec<CellId> {
         self.deps.clear();
         let mut all: Vec<CellId> = Vec::new();
         for i in 0..self.sheets.len() {
@@ -342,8 +347,28 @@ impl Workbook {
                 all.push((i, addr));
             }
         }
-        let pass = self.schedule(&all);
-        self.recompute_set(pass);
+        all
+    }
+
+    /// Index a decoded workbook's formulas without evaluating them: the
+    /// checkpointed cached values are what the last pass left. Only the
+    /// cycle set cannot be read off the index. Every formula a full pass
+    /// would poison shows `#CYCLE!`, so those are marked pending: `open`'s
+    /// flush re-runs them with their dependents, which rebuilds the set
+    /// exactly, beside whatever the WAL tail dirtied.
+    pub(crate) fn index_decoded(&mut self) {
+        for (i, addr) in self.index_all() {
+            if self.sheets[i].value(addr) == Value::Error(CellError::Cycle) {
+                self.sheets[i].mark_pending(addr);
+            }
+        }
+    }
+
+    /// Leave a decoded workbook's index stale, so `open`'s flush is one
+    /// full pass: its cached values were written under older evaluation
+    /// semantics and are not trusted.
+    pub(crate) fn distrust_decoded(&mut self) {
+        self.deps.stale = true;
     }
 
     /// Incremental pass: re-evaluate exactly the formulas downstream of the

@@ -17,10 +17,11 @@
 //!   survive a crash.
 //! * **Sheet edits** — cell writes (literals *and* formulas) and
 //!   structural row/column edits — are WAL-logged at edit time as logical
-//!   inputs and replayed on [`Workbook::open`], which then recomputes
-//!   every formula. They survive a crash between checkpoints.
+//!   inputs and replayed on [`Workbook::open`], which then recomputes the
+//!   formulas they dirtied (every formula after a replayed structural
+//!   edit). They survive a crash between checkpoints.
 //! * **`CREATE TABLE`/`DROP TABLE`** are WAL-logged as DDL redo records;
-//!   **`ALTER TABLE`**, [`Workbook::import_region`], and
+//!   **`ALTER TABLE`**, **`ANALYZE`**, [`Workbook::import_region`], and
 //!   [`Workbook::add_sheet`] trigger an automatic checkpoint.
 //! * **Bindings** ([`Workbook::bind_table`]) are WAL-logged at
 //!   create/drop and checkpointed in the workbook metadata (version 3);
@@ -35,7 +36,9 @@ use std::sync::Arc;
 
 use dataspread_formula::GridOp;
 use dataspread_relstore::codec::{put_str, put_u32, put_u64, Cursor};
-use dataspread_relstore::snapshot::{self, load_catalog_with, save_catalog_with, DATA_FILE};
+use dataspread_relstore::snapshot::{
+    self, load_catalog_with, save_catalog_with, LoadedCatalog, DATA_FILE,
+};
 use dataspread_relstore::vfs::{os_vfs, Vfs};
 use dataspread_relstore::wal::{scan_wal_with, GridEditKind, SheetCellContent, WalOp};
 use dataspread_relstore::{Catalog, MeteredVfs, PageFile, VfsMeter};
@@ -50,10 +53,14 @@ use crate::workbook::Workbook;
 /// (once the buffer-pool capacity, now reserved and written as zero) and
 /// per-sheet formula sections; version 3 added the binding section
 /// (table-bound regions); version 4 added the optimizer-statistics section
-/// (per-table column sketches). Version 1–3 streams are still readable
-/// (they decode with no formulas, no bindings, and freshly analyzed
-/// statistics respectively).
-const WB_META_VERSION: u8 = 4;
+/// (per-table column sketches). Version 5 changed no layout: it marks the
+/// cached formula values as written by the current evaluation semantics.
+/// Open trusts cached values only from a stream at the current version, so
+/// **any change to what a formula evaluates to must bump this version**;
+/// an older stream recomputes every formula once on open. Version 1–3
+/// streams are still readable (they decode with no formulas, no bindings,
+/// and freshly analyzed statistics respectively).
+const WB_META_VERSION: u8 = 5;
 
 /// The highest checkpoint generation evidenced on disk at `dir` — from the
 /// page file or a leftover WAL, whichever is newer (0 when neither is
@@ -101,9 +108,9 @@ pub(crate) fn encode_workbook_meta(wb: &Workbook) -> Vec<u8> {
             None => buf.push(0),
         }
     }
-    // Version 4: optimizer statistics — one block per table, keyed by name.
-    // On open these are only trusted for tables the WAL replay did not
-    // touch; anything else is re-analyzed from the recovered rows.
+    // Version 4: optimizer statistics — one block per table, keyed by name,
+    // in ascending name order. Open installs them before WAL replay, which
+    // then keeps them current.
     let mut names = wb.catalog.table_names();
     names.sort();
     put_u32(&mut buf, names.len() as u32);
@@ -168,25 +175,41 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
         }
         bindings.next_id = bindings.next_id.max(next_id);
     }
-    // Version 4: optimizer statistics. A checkpointed block is only valid
-    // for a table the WAL replay left untouched (`version() == 0`); every
-    // other table — replayed, recreated, reshaped, or from a pre-v4 stream —
-    // is re-analyzed below so open() always yields exact statistics.
-    let mut installed: std::collections::HashSet<String> = std::collections::HashSet::new();
+    // Version 4: optimizer statistics, one block per checkpointed table,
+    // installed before the WAL tail replays so that replay maintains them
+    // inline exactly as the live DML did. Older streams carry none: their
+    // tables are analyzed from the checkpointed rows instead.
     if version >= 4 {
         let nstats = cur.u32()? as usize;
+        if nstats != catalog.len() {
+            return Err(DsError::Storage(format!(
+                "workbook snapshot: {nstats} statistics blocks for {} tables",
+                catalog.len()
+            )));
+        }
+        let mut prev = String::new();
         for _ in 0..nstats {
             let name = cur.str()?;
             let stats = dataspread_relstore::TableStatistics::decode(&mut cur)?;
-            if let Ok(mut t) = catalog.get_mut(&name) {
-                if t.version() == 0 && t.set_statistics(stats).is_ok() {
-                    installed.insert(name);
-                }
+            // Blocks are written in strictly ascending name order, so with
+            // the count above every table gets exactly one.
+            if name <= prev && !prev.is_empty() {
+                return Err(DsError::Storage(format!(
+                    "workbook snapshot: statistics block `{name}` out of order"
+                )));
             }
+            catalog
+                .get_mut(&name)
+                .map_err(|_| {
+                    DsError::Storage(format!(
+                        "workbook snapshot: statistics for unknown table `{name}`"
+                    ))
+                })?
+                .set_statistics(stats)?;
+            prev = name;
         }
-    }
-    for name in catalog.table_names() {
-        if !installed.contains(&name) {
+    } else {
+        for name in catalog.table_names() {
             catalog.get_mut(&name)?.analyze()?;
         }
     }
@@ -199,10 +222,8 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
         ));
     }
     let obs = WbObs::default();
-    // Decoded formulas are not indexed yet: the first flush (the one
-    // `open` runs) recomputes in full and builds the index.
-    let deps = crate::calc::DepIndex::new(obs.calc_index_stabs.clone(), true);
-    Ok(Workbook {
+    let deps = crate::calc::DepIndex::new(obs.calc_index_stabs.clone());
+    let mut wb = Workbook {
         sheets,
         by_name,
         catalog,
@@ -211,7 +232,16 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
         obs,
         bindings,
         deps,
-    })
+    };
+    // Cached values written under the current evaluation semantics are
+    // trusted: the decoded formulas are indexed, not evaluated. An older
+    // stream's are re-evaluated by open's flush, all of them.
+    if version == WB_META_VERSION {
+        wb.index_decoded();
+    } else {
+        wb.distrust_decoded();
+    }
+    Ok(wb)
 }
 
 impl Workbook {
@@ -280,8 +310,8 @@ impl Workbook {
     /// Reopen a workbook from a store directory: load the last checkpoint,
     /// replay the committed WAL tail (ARIES-lite redo — a torn tail is
     /// truncated) — table DML *and* sheet edits, including formula cells —
-    /// recompute every formula, fold the result into a fresh checkpoint,
-    /// and attach.
+    /// recompute the formulas the tail dirtied, fold the result into a
+    /// fresh checkpoint, and attach.
     ///
     /// ```
     /// use dataspread::Workbook;
@@ -314,25 +344,33 @@ impl Workbook {
         // once the metadata decodes.
         let meter = VfsMeter::default();
         let vfs = MeteredVfs::wrap(vfs, meter.clone());
-        let loaded = load_catalog_with(&vfs, &dir)?;
-        let generation = loaded.generation;
-        let mut wb = decode_workbook_meta(&loaded.extra_meta, loaded.catalog)?;
+        let LoadedCatalog {
+            catalog,
+            extra_meta,
+            generation,
+            tail,
+        } = load_catalog_with(&vfs, &dir)?;
+        // Decoding installs the checkpointed statistics, which the table
+        // replay below then maintains.
+        let mut wb = decode_workbook_meta(&extra_meta, catalog)?;
         wb.obs.adopt_vfs_meter(meter);
+        let replayed = tail.replay(&mut wb.catalog)?;
         // Replay committed engine ops — sheet edits and binding
         // create/drop — on top of the decoded state (the relational ops,
-        // including CREATE/DROP TABLE DDL records, were already replayed by
-        // `load_catalog`). The sheets are detached here, so replay does not
-        // re-log itself. A replayed structural edit rewrites other sheets'
+        // including CREATE/DROP TABLE DDL records, were replayed just
+        // above). The sheets are detached here, so replay does not re-log
+        // itself. A replayed structural edit rewrites other sheets'
         // references as the live edit did, in log order, so a formula
         // logged after it is not shifted by it.
-        for op in &loaded.engine_ops {
+        for op in &replayed.engine_ops {
             wb.apply_engine_op(op)?;
         }
         // Re-render every bound region from the recovered tables (mirror
         // cells are never WAL-logged — they are derivable), then fold the
-        // replayed edits in. The decoded dependents index is stale, so this
-        // first flush is one full pass: it evaluates every formula and
-        // builds the index the incremental passes after it stab.
+        // replayed edits in: the flush recomputes the cells replay and the
+        // re-render dirtied and their dependents — every formula when a
+        // replayed structural edit or an older metadata version left the
+        // index stale.
         wb.refresh_bindings(None)?;
         wb.flush_grid();
         // Fold the replayed tail into a fresh checkpoint + empty WAL.
@@ -359,7 +397,7 @@ impl Workbook {
                 self.bindings.remove(*id);
                 return Ok(());
             }
-            _ => return Ok(()), // table ops were applied by load_catalog
+            _ => return Ok(()), // table ops were applied by the tail replay
         };
         match op {
             WalOp::SheetCell {
@@ -441,6 +479,11 @@ impl Workbook {
         generation: u64,
         vfs: &Arc<dyn Vfs>,
     ) -> DsResult<()> {
+        // The snapshot stores cached formula values and the log is reset
+        // behind it, so they must be current: a checkpoint taken inside an
+        // edit (a bound rename or column DDL) runs before that edit's
+        // write-boundary flush.
+        self.flush_grid();
         let wb_meta = encode_workbook_meta(self);
         // When checkpointing the attached directory, hand the current WAL
         // to the snapshot writer: a post-rename failure must poison it so
@@ -556,8 +599,8 @@ mod tests {
     /// Sheets once kept a stable key for every display row, checkpointed as
     /// a key watermark and the key list. Both fields are reserved now: a
     /// version-4 stream carrying watermark 7 and keys 1..=6 decodes with
-    /// identical cells and formula sources, and re-encodes with a zero
-    /// watermark and an empty key list.
+    /// identical cells and formula sources, and re-encodes (at the current
+    /// version) with a zero watermark and an empty key list.
     #[test]
     fn registered_row_keys_still_decode() {
         let (formula_at, src) = (CellAddr::new(0, 1), "=A1*2");
@@ -566,8 +609,8 @@ mod tests {
             (formula_at, Value::Int(42)), // the formula's cached value
             (CellAddr::new(5, 0), Value::text("far")),
         ];
-        let stream = |watermark: u64, keys: &[u64]| {
-            let mut buf = vec![4u8, 0]; // version 4; reserved
+        let stream = |version: u8, watermark: u64, keys: &[u64]| {
+            let mut buf = vec![version, 0]; // version; reserved
             put_u32(&mut buf, 0); // current sheet
             put_u64(&mut buf, 0); // reserved
             put_u32(&mut buf, 1); // one sheet
@@ -593,7 +636,8 @@ mod tests {
             put_u32(&mut buf, 0); // no statistics
             buf
         };
-        let wb = decode_workbook_meta(&stream(7, &[1, 2, 3, 4, 5, 6]), Catalog::new()).unwrap();
+        let old = stream(4, 7, &[1, 2, 3, 4, 5, 6]);
+        let wb = decode_workbook_meta(&old, Catalog::new()).unwrap();
         let sheet = wb.sheet(wb.current_sheet());
         assert_eq!(sheet.cell_count(), cells.len());
         for (a, v) in &cells {
@@ -601,7 +645,52 @@ mod tests {
         }
         assert_eq!(sheet.formula_count(), 1);
         assert_eq!(sheet.formula_text(formula_at), Some(src));
-        assert_eq!(encode_workbook_meta(&wb), stream(0, &[]));
+        assert_eq!(encode_workbook_meta(&wb), stream(WB_META_VERSION, 0, &[]));
+    }
+
+    /// Cached formula values are trusted only from a stream written under
+    /// the current evaluation semantics. A store whose metadata predates
+    /// version 5 recomputes every formula once on open — here a cached
+    /// `#NAME?` an older evaluator left beside `=A1*2` — while the same
+    /// bytes at the current version open as written.
+    #[test]
+    fn older_streams_recompute_cached_values_on_open() {
+        let stream = |version: u8| {
+            let mut buf = vec![version, 0]; // version; reserved
+            put_u32(&mut buf, 0); // current sheet
+            put_u64(&mut buf, 0); // reserved
+            put_u32(&mut buf, 1); // one sheet
+            put_str(&mut buf, "Sheet1");
+            buf.push(0); // reserved (store kind)
+            put_u64(&mut buf, 0); // reserved (row-key watermark)
+            put_u64(&mut buf, 0); // reserved (no row keys)
+            put_u64(&mut buf, 2); // two cells
+            for (col, v) in [(0, Value::Int(21)), (1, Value::Error(CellError::Name))] {
+                put_u32(&mut buf, 0);
+                put_u32(&mut buf, col);
+                encode_value(&mut buf, &v);
+            }
+            put_u64(&mut buf, 1); // one formula
+            put_u32(&mut buf, 0);
+            put_u32(&mut buf, 1);
+            put_str(&mut buf, "=A1*2");
+            put_u64(&mut buf, 1); // binding id watermark
+            put_u32(&mut buf, 0); // no bindings
+            put_u32(&mut buf, 0); // no statistics
+            buf
+        };
+        let dir = std::env::temp_dir().join(format!("dsp-semver-{}", std::process::id()));
+        let b1 = CellAddr::new(0, 1);
+        for (version, shown) in [
+            (4, Value::Int(42)),
+            (WB_META_VERSION, Value::Error(CellError::Name)),
+        ] {
+            let _ = std::fs::remove_dir_all(&dir);
+            save_catalog_with(&os_vfs(), &dir, &Catalog::new(), &stream(version), 1, None).unwrap();
+            let wb = Workbook::open(&dir).unwrap();
+            assert_eq!(wb.cell(wb.current_sheet(), b1), shown, "version {version}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Structural edits that would leave the address space are refused on a

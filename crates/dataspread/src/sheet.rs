@@ -259,6 +259,12 @@ impl Sheet {
         std::mem::take(&mut self.pending)
     }
 
+    /// Mark a cell edited without writing it, so the next flush
+    /// re-evaluates the formula there and its dependents.
+    pub(crate) fn mark_pending(&mut self, addr: CellAddr) {
+        self.pending.insert(addr);
+    }
+
     pub(crate) fn has_pending(&self) -> bool {
         !self.pending.is_empty()
     }
@@ -479,9 +485,9 @@ impl Sheet {
     }
 
     /// Rebuild a sheet from the snapshot stream. Formula sources are
-    /// re-parsed; cached values
-    /// come back from the cell section, so no evaluation happens here (the
-    /// workbook recomputes after recovery). `with_formulas` is false when
+    /// re-parsed; cached values come back from the cell section, so no
+    /// evaluation happens here (the workbook indexes the formulas and
+    /// recomputes only what recovery dirtied). `with_formulas` is false when
     /// decoding a version-1 stream, which predates formula sections.
     pub(crate) fn decode(
         cur: &mut dataspread_relstore::codec::Cursor<'_>,

@@ -81,7 +81,7 @@ impl Workbook {
     pub fn new() -> Self {
         let obs = WbObs::default();
         // No formulas yet: the empty index is already exact.
-        let deps = DepIndex::new(obs.calc_index_stabs.clone(), false);
+        let deps = DepIndex::new(obs.calc_index_stabs.clone());
         let mut wb = Workbook {
             sheets: Vec::new(),
             by_name: HashMap::new(),
@@ -362,7 +362,10 @@ impl Workbook {
                 | Statement::DropTable { .. }
                 | Statement::AlterTable { .. }
         );
-        if is_dml || is_ddl {
+        // ANALYZE rewrites no row, but its statistics persist like ALTER's
+        // schema: by the checkpoint after it.
+        let is_analyze = matches!(stmt, Statement::Analyze { .. });
+        if is_dml || is_ddl || is_analyze {
             self.ensure_writable()?;
         }
         // Capture what the post-statement hooks need before the statement is
@@ -422,10 +425,12 @@ impl Workbook {
             }
             result
         });
-        if result.is_ok() && matches!(ddl_info, DdlInfo::Alter { .. }) && self.store.is_some() {
-            // ALTER TABLE is still checkpoint-persisted (schema changes of
-            // existing tables are snapshot state, not logged — except the
-            // CREATE-carried schema).
+        let checkpointed = is_analyze || matches!(ddl_info, DdlInfo::Alter { .. });
+        if result.is_ok() && checkpointed && self.store.is_some() {
+            // ALTER TABLE and ANALYZE are checkpoint-persisted (schema
+            // changes of existing tables and re-observed statistics are
+            // snapshot state, not logged — except the CREATE-carried
+            // schema).
             self.checkpoint()?;
         }
         result

@@ -3,8 +3,12 @@
 //! from-scratch recalculation — incremental recompute must be an
 //! optimization, never a semantics change.
 
+use std::cell::Cell;
+use std::sync::Arc;
+
 use dataspread::{SheetId, Workbook};
 use dataspread_formula::{CellProvider, Formula};
+use dataspread_relstore::vfs::{FaultPlan, FaultVfs, RecoveryImage, Vfs};
 use dataspread_testkit as testkit;
 use dataspread_types::{CellAddr, CellError, Range, SheetRef, Value};
 
@@ -241,19 +245,58 @@ impl Edit {
     }
 }
 
+/// The in-memory store the lockstep's incremental workbook lives in.
+const STORE: &str = "/store";
+
+/// The lockstep cuts the power under its incremental workbook and reopens
+/// it after every this many edits.
+const REOPEN_EVERY: usize = 7;
+
+/// Cut the power under `wb` and reopen its store. A twin opened from a copy
+/// of the same crash image and then recalculated in full must show exactly
+/// what the reopened workbook shows.
+fn reopen_after_power_cut(wb: Workbook, fault: &FaultVfs, sheets: &[SheetId]) -> Workbook {
+    drop(wb);
+    fault.reset_to_recovery(RecoveryImage::Synced);
+    let image = FaultVfs::new(FaultPlan::quiet());
+    for path in fault.file_names() {
+        image
+            .write_file(&path, &fault.read(&path).unwrap())
+            .unwrap();
+    }
+    let reopened = Workbook::open_with_vfs(STORE, Arc::new(fault.clone())).unwrap();
+    let mut twin = Workbook::open_with_vfs(STORE, Arc::new(image)).unwrap();
+    twin.recalculate();
+    assert_eq!(
+        snapshot(&reopened, sheets),
+        snapshot(&twin, sheets),
+        "reopened values ≠ a full recalculation of the same image"
+    );
+    reopened
+}
+
 #[test]
 fn incremental_matches_full_after_every_edit() {
     // Two workbooks take one seeded edit stream: `inc` relies on the
     // dependents index alone, `full` recalculates from scratch after every
     // edit. They must agree after every step, not just at the end — a
     // final `recalculate()` would rebuild a broken index and hide it.
+    // `inc` is saved to an in-memory store, and every `REOPEN_EVERY` edits
+    // it loses power and is reopened: open recomputes only what the WAL
+    // tail dirtied (everything after a replayed structural edit), and must
+    // still agree.
     let names = ["Sheet1", "Data", "Later"];
+    // Reopens whose tail held no structural edit, and ones whose tail did.
+    let tails = [Cell::new(0u32), Cell::new(0u32)];
     testkit::cases(iters(), 0x1A57_57E9, |rng| {
+        let fault = FaultVfs::new(FaultPlan::quiet());
         let mut inc = Workbook::new();
         let mut full = Workbook::new();
         let mut ids = vec![inc.current_sheet()];
         ids.push(inc.add_sheet("Data").unwrap());
         full.add_sheet("Data").unwrap();
+        inc.save_with_vfs(STORE, Arc::new(fault.clone())).unwrap();
+        let mut structural_tail = false;
         let edits = rng.usize_in(20, 60);
         // Mid-stream, healing every `Later!…` reference typed so far.
         let later_at = rng.index(edits);
@@ -324,8 +367,20 @@ fn incremental_matches_full_after_every_edit() {
             edit.apply(&mut inc);
             edit.apply(&mut full);
             full.recalculate();
-            if step == later_at {
-                ids.push(inc.sheet_id("Later").unwrap());
+            match edit {
+                Edit::Structural(..) => structural_tail = true,
+                // Adding a sheet checkpoints: the tail starts over.
+                Edit::AddLater => {
+                    ids.push(inc.sheet_id("Later").unwrap());
+                    structural_tail = false;
+                }
+                _ => {}
+            }
+            if step % REOPEN_EVERY == REOPEN_EVERY - 1 {
+                inc = reopen_after_power_cut(std::mem::take(&mut inc), &fault, &ids);
+                let kind = &tails[usize::from(structural_tail)];
+                kind.set(kind.get() + 1);
+                structural_tail = false;
             }
             assert_eq!(
                 snapshot(&inc, &ids),
@@ -334,6 +389,10 @@ fn incremental_matches_full_after_every_edit() {
             );
         }
     });
+    assert!(
+        tails.iter().all(|t| t.get() > 0),
+        "reopened tails without and with a structural edit: {tails:?}"
+    );
 }
 
 /// The engine's sheets seen only through `cell_value`: evaluating against

@@ -2,10 +2,14 @@
 //! survives `save` → process restart → `open` with identical query results,
 //! across checkpoints, WAL replay, and crash-shaped file states.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use dataspread::Workbook;
+use dataspread::{BindModel, Workbook};
 use dataspread_relstore::snapshot::{DATA_FILE, WAL_FILE};
+use dataspread_relstore::vfs::{FaultPlan, FaultVfs, RecoveryImage};
+use dataspread_testkit as testkit;
 use dataspread_types::{CellAddr, Range, Value};
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -448,23 +452,16 @@ fn repeated_saves_and_reopens_are_stable() {
 }
 
 /// Optimizer statistics are part of the workbook meta: they survive
-/// save → open exactly, and a crash after unsynced post-checkpoint DML
-/// rebuilds a sketch that still covers the replayed rows.
+/// save → open exactly, and after a crash the checkpointed sketches plus the
+/// replayed tail equal the live sketches at the crash — not exact ones: a
+/// `DELETE` leaves them stale-high, and open must not re-analyze.
 #[test]
 fn statistics_survive_save_open_and_wal_replay() {
     let dir = tmp_dir("stats");
     let mut wb = build_workbook();
     wb.execute("ANALYZE").unwrap();
-    let snap = |wb: &Workbook| -> Vec<(f64, u64, Option<f64>, Option<f64>)> {
-        let t = wb.catalog().get("students").unwrap();
-        (0..3)
-            .map(|c| {
-                let s = t.statistics().column(c).unwrap();
-                (s.ndv(), s.null_count(), s.num_min(), s.num_max())
-            })
-            .collect()
-    };
-    let reference = snap(&wb);
+    let stats = |wb: &Workbook, table: &str| wb.catalog().get(table).unwrap().statistics().clone();
+    let reference = stats(&wb, "students");
     let plan = wb
         .query("EXPLAIN SELECT name FROM students WHERE id = 2")
         .unwrap()
@@ -475,7 +472,11 @@ fn statistics_survive_save_open_and_wal_replay() {
     // Clean reopen: stats come back from the meta block, not a rebuild —
     // same sketches, same EXPLAIN estimates.
     let mut wb = Workbook::open(&dir).unwrap();
-    assert_eq!(snap(&wb), reference, "persisted stats differ after open");
+    assert_eq!(
+        stats(&wb, "students"),
+        reference,
+        "persisted stats differ after open"
+    );
     assert_eq!(
         wb.query("EXPLAIN SELECT name FROM students WHERE id = 2")
             .unwrap()
@@ -486,11 +487,15 @@ fn statistics_survive_save_open_and_wal_replay() {
 
     // Crash injection: DML after the checkpoint reaches disk only through
     // the WAL. Copy the crash-shaped files and reopen; replay re-observes
-    // the new rows, so the sketch row count is exact and the envelope
-    // covers the new extreme value.
+    // what the live statements observed, and nothing else.
     wb.execute("INSERT INTO students VALUES (7, 'zz-top', 999.0)")
         .unwrap();
     wb.execute("DELETE FROM students WHERE id = 1").unwrap();
+    wb.execute("UPDATE bonuses SET bonus = 70 WHERE id = 3")
+        .unwrap();
+    let live = [stats(&wb, "students"), stats(&wb, "bonuses")];
+    // The delete left id 1 in the sketch: a re-analyze would differ.
+    assert_eq!(live[0].column(0).unwrap().ndv(), 4.0);
     let live_rows = wb.query("SELECT COUNT(*) FROM students").unwrap().1;
     let crashed = tmp_dir("stats-crashed");
     std::fs::create_dir_all(&crashed).unwrap();
@@ -504,18 +509,12 @@ fn statistics_survive_save_open_and_wal_replay() {
         wb.query("SELECT COUNT(*) FROM students").unwrap().1,
         live_rows
     );
-    {
-        let t = wb.catalog().get("students").unwrap();
-        assert_eq!(t.row_count(), 3, "replayed row count");
-        let score = t.statistics().column(2).unwrap();
-        assert!(
-            score.num_max().is_some_and(|m| m >= 999.0),
-            "replayed insert must widen the score envelope, got {:?}",
-            score.num_max()
-        );
-        let id = t.statistics().column(0).unwrap();
-        assert!(id.ndv() >= 3.0, "id NDV undercounts after replay");
-    }
+    assert_eq!(wb.catalog().get("students").unwrap().row_count(), 3);
+    assert_eq!(
+        [stats(&wb, "students"), stats(&wb, "bonuses")],
+        live,
+        "reopened statistics must equal the live ones at the crash"
+    );
     // ANALYZE after recovery snaps everything to exact again.
     wb.execute("ANALYZE students").unwrap();
     let t = wb.catalog().get("students").unwrap();
@@ -523,6 +522,13 @@ fn statistics_survive_save_open_and_wal_replay() {
     drop(t);
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&crashed).unwrap();
+}
+
+/// Formula cells evaluated (or poisoned) since the workbook was opened.
+fn recomputed(wb: &Workbook) -> u64 {
+    wb.metrics_snapshot()
+        .counter("calc_cells_recomputed")
+        .unwrap()
 }
 
 /// Recovery must leave a live dependents index behind, covering the
@@ -553,11 +559,10 @@ fn reopened_workbook_recomputes_dependents_incrementally() {
     let mut wb = Workbook::open(&dir).unwrap();
     let s = wb.current_sheet();
     assert_eq!(wb.formula_text(s, a("C1")), Some("=B20*10"));
-    let recomputed = |wb: &Workbook| {
-        wb.metrics_snapshot()
-            .counter("calc_cells_recomputed")
-            .unwrap()
-    };
+    assert_eq!(wb.cell(s, a("C1")), Value::Int(210));
+    // Open trusts the 70 checkpointed values and evaluates only the
+    // formula the tail typed.
+    assert_eq!(recomputed(&wb), 1, "open recomputes only the tail's C1");
     let before = recomputed(&wb);
     wb.set_input(s, a("A1"), "100").unwrap();
     for r in 1..=20 {
@@ -570,4 +575,274 @@ fn reopened_workbook_recomputes_dependents_incrementally() {
         "exactly the chain and the replayed formula recompute"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A literal edit in the WAL tail reaches the checkpointed formulas that
+/// read it: open recomputes exactly them, and nothing else.
+#[test]
+fn replayed_literal_edit_recomputes_its_dependents_on_open() {
+    let dir = tmp_dir("tail-literal");
+    let mut wb = Workbook::new();
+    let s = wb.current_sheet();
+    let data = wb.add_sheet("Data").unwrap();
+    wb.set_input(data, a("A1"), "1").unwrap();
+    wb.set_input(s, a("B1"), "=Data!A1+1").unwrap();
+    for r in 2..=20 {
+        wb.set_input(s, a(&format!("B{r}")), &format!("=B{}+1", r - 1))
+            .unwrap();
+    }
+    for r in 1..=50 {
+        wb.set_input(s, a(&format!("D{r}")), &format!("=Z{r}*2"))
+            .unwrap();
+    }
+    wb.save(&dir).unwrap();
+    wb.set_input(data, a("A1"), "100").unwrap();
+    let live: Vec<Value> = (1..=20).map(|r| wb.cell(s, a(&format!("B{r}")))).collect();
+    drop(wb);
+
+    let mut wb = Workbook::open(&dir).unwrap();
+    let shown: Vec<Value> = (1..=20).map(|r| wb.cell(s, a(&format!("B{r}")))).collect();
+    assert_eq!(shown, live);
+    assert_eq!(wb.cell(s, a("B20")), Value::Int(120));
+    assert_eq!(
+        recomputed(&wb),
+        20,
+        "the chain off Data!A1, not the D column"
+    );
+    wb.recalculate();
+    let full: Vec<Value> = (1..=20).map(|r| wb.cell(s, a(&format!("B{r}")))).collect();
+    assert_eq!(shown, full);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpointed reference cycle, and a reader it poisons although the
+/// reader's IF never evaluates it, stay poisoned across a reopen: open
+/// re-derives the cycle set, so a later edit of the reader's other input
+/// still poisons it, exactly as a full recalculation does.
+#[test]
+fn checkpointed_cycles_stay_poisoned_after_reopen() {
+    let dir = tmp_dir("tail-cycle");
+    let mut wb = Workbook::new();
+    let s = wb.current_sheet();
+    wb.set_input(s, a("A5"), "=B5+1").unwrap();
+    wb.set_input(s, a("B5"), "=A5+1").unwrap();
+    wb.set_input(s, a("D5"), "1").unwrap();
+    wb.set_input(s, a("C5"), "=IF(D5>0,A5,7)").unwrap();
+    wb.set_input(s, a("E5"), "=C5").unwrap();
+    let cycle = Value::Error(dataspread_types::CellError::Cycle);
+    assert_eq!(wb.cell(s, a("C5")), cycle);
+    wb.save(&dir).unwrap();
+    drop(wb);
+
+    let mut wb = Workbook::open(&dir).unwrap();
+    for cell in ["A5", "B5", "C5", "E5"] {
+        assert_eq!(wb.cell(s, a(cell)), cycle, "{cell} after open");
+    }
+    wb.set_input(s, a("D5"), "0").unwrap();
+    assert_eq!(wb.cell(s, a("C5")), cycle, "C5 is still fed by the cycle");
+    assert_eq!(wb.cell(s, a("E5")), cycle);
+    wb.recalculate();
+    assert_eq!(wb.cell(s, a("C5")), cycle);
+    // Breaking the cycle frees both readers.
+    wb.set_input(s, a("B5"), "1").unwrap();
+    assert_eq!(wb.cell(s, a("C5")), Value::Int(7));
+    assert_eq!(wb.cell(s, a("E5")), Value::Int(7));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ------------------------------------------------ power cuts in memory
+
+/// The store directory on the in-memory file systems below.
+const STORE: &str = "/store";
+
+/// Cut the power under `wb` — every byte not yet synced is lost — and
+/// reopen the store.
+fn power_cut(wb: Workbook, fault: &FaultVfs) -> Workbook {
+    drop(wb);
+    fault.reset_to_recovery(RecoveryImage::Synced);
+    Workbook::open_with_vfs(STORE, Arc::new(fault.clone())).unwrap()
+}
+
+/// Cases for the seeded crash property: `DSP_STRESS_ITERS` (default 24),
+/// the knob CI's chaos job turns up.
+fn iters() -> u64 {
+    std::env::var("DSP_STRESS_ITERS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(24)
+}
+
+/// A row of the crash property's table `t (k INT PRIMARY KEY, v INT, s TEXT)`.
+type Row = (i64, i64, Option<String>);
+
+/// One random statement (or checkpoint) against `t`, mirrored into `model`
+/// (kept in key order). Keys, values and texts each come from fewer than
+/// 256 distinct values, so the NDV sketches stay exact for what they saw.
+/// `ANALYZE` is among the statements: it re-observes the rows, and its
+/// sketches must survive a cut as the DML-maintained ones do.
+fn crash_step(rng: &mut testkit::Rng, wb: &mut Workbook, model: &mut Vec<Row>) {
+    let fresh_key = |rng: &mut testkit::Rng, model: &[Row]| {
+        let k = rng.below(255) as i64;
+        (!model.iter().any(|r| r.0 == k)).then_some(k)
+    };
+    let text = |rng: &mut testkit::Rng| (rng.below(5) > 0).then(|| format!("s{}", rng.below(255)));
+    let sql_text = |s: &Option<String>| s.as_ref().map_or("NULL".to_string(), |s| format!("'{s}'"));
+    let existing = (!model.is_empty()).then(|| rng.index(model.len()));
+    let sql = match (rng.weighted(&[6, 4, 2, 2, 3, 1, 2, 1]), existing) {
+        (1, Some(i)) => {
+            let v = rng.below(255) as i64;
+            model[i].1 = v;
+            format!("UPDATE t SET v = {v} WHERE k = {}", model[i].0)
+        }
+        (2, Some(i)) => {
+            let Some(k) = fresh_key(rng, model) else {
+                return;
+            };
+            let old = model[i].0;
+            model[i].0 = k;
+            format!("UPDATE t SET k = {k} WHERE k = {old}")
+        }
+        (3, _) => {
+            let (s, below) = (text(rng), rng.below(255) as i64);
+            for r in model.iter_mut().filter(|r| r.1 < below) {
+                r.2 = s.clone();
+            }
+            format!("UPDATE t SET s = {} WHERE v < {below}", sql_text(&s))
+        }
+        (4, Some(i)) => format!("DELETE FROM t WHERE k = {}", model.remove(i).0),
+        (5, _) => {
+            let above = 200 + rng.below(55) as i64;
+            model.retain(|r| r.1 <= above);
+            format!("DELETE FROM t WHERE v > {above}")
+        }
+        (6, _) => {
+            wb.checkpoint().unwrap();
+            return;
+        }
+        (7, _) => "ANALYZE t".to_string(),
+        _ => {
+            let Some(k) = fresh_key(rng, model) else {
+                return;
+            };
+            let row = (k, rng.below(255) as i64, text(rng));
+            let sql = format!(
+                "INSERT INTO t VALUES ({k}, {}, {})",
+                row.1,
+                sql_text(&row.2)
+            );
+            model.push(row);
+            sql
+        }
+    };
+    model.sort();
+    wb.execute(&sql).unwrap();
+}
+
+/// Power cuts at random points of random DML on a keyed table, with
+/// checkpoints at random points between them: the reopened rows equal the
+/// model of acknowledged statements, the reopened statistics equal the live
+/// ones at the cut, and an exact count taken from the model alone stays
+/// inside the sketches' envelope.
+#[test]
+fn power_cuts_keep_rows_and_live_statistics() {
+    testkit::cases(iters(), 0x57A7_C0F5, |rng| {
+        let fault = FaultVfs::new(FaultPlan::quiet());
+        let mut wb = Workbook::new();
+        wb.execute("CREATE TABLE t (k INT PRIMARY KEY, v INT, s TEXT)")
+            .unwrap();
+        wb.save_with_vfs(STORE, Arc::new(fault.clone())).unwrap();
+        let mut model: Vec<Row> = Vec::new();
+        for round in 0..rng.usize_in(2, 5) {
+            for _ in 0..rng.usize_in(1, 80) {
+                crash_step(rng, &mut wb, &mut model);
+            }
+            let live = wb.catalog().get("t").unwrap().statistics().clone();
+            wb = power_cut(wb, &fault);
+
+            let rows = wb.query("SELECT k, v, s FROM t ORDER BY k").unwrap().1;
+            let expected: Vec<Vec<Value>> = model
+                .iter()
+                .map(|(k, v, s)| {
+                    let s = s.as_ref().map_or(Value::Empty, |s| Value::text(s.as_str()));
+                    vec![Value::Int(*k), Value::Int(*v), s]
+                })
+                .collect();
+            assert_eq!(rows, expected, "round {round}: rows after the cut");
+            let t = wb.catalog().get("t").unwrap();
+            let stats = t.statistics();
+            assert_eq!(stats, &live, "round {round}: statistics after the cut");
+
+            // The exact figures, from the model alone.
+            let ints = |col: fn(&Row) -> i64| -> Vec<i64> { model.iter().map(col).collect() };
+            for (c, values) in [(0, ints(|r| r.0)), (1, ints(|r| r.1))] {
+                let sketch = stats.column(c).unwrap();
+                let distinct: HashSet<i64> = values.iter().copied().collect();
+                assert!(
+                    sketch.ndv() >= distinct.len() as f64,
+                    "round {round}: col {c} ndv"
+                );
+                if let (Some(&lo), Some(&hi)) = (values.iter().min(), values.iter().max()) {
+                    assert!(
+                        sketch.num_min().is_some_and(|m| m <= lo as f64),
+                        "col {c} min"
+                    );
+                    assert!(
+                        sketch.num_max().is_some_and(|m| m >= hi as f64),
+                        "col {c} max"
+                    );
+                }
+            }
+            let texts: Vec<&str> = model.iter().filter_map(|r| r.2.as_deref()).collect();
+            let sketch = stats.column(2).unwrap();
+            let distinct: HashSet<&str> = texts.iter().copied().collect();
+            assert!(
+                sketch.ndv() >= distinct.len() as f64,
+                "round {round}: text ndv"
+            );
+            let nulls = model.len() - texts.len();
+            assert!(sketch.null_count() >= nulls as u64, "round {round}: nulls");
+            if let (Some(lo), Some(hi)) = (texts.iter().min(), texts.iter().max()) {
+                assert!(sketch.text_min().is_some_and(|m| m <= *lo), "text min");
+                assert!(sketch.text_max().is_some_and(|m| m >= *hi), "text max");
+            }
+        }
+    });
+}
+
+/// Checkpoints taken inside an edit — a bound header rename, a bound
+/// column deletion — store the formula values that edit leads to, not the
+/// ones from before it: after a power cut, formulas reading the header and
+/// the bound columns show what they showed live and what a full pass gives.
+#[test]
+fn checkpoints_inside_bound_edits_store_current_formula_values() {
+    let fault = FaultVfs::new(FaultPlan::quiet());
+    let mut wb = Workbook::new();
+    let s = wb.current_sheet();
+    wb.execute_script(
+        "CREATE TABLE t (id INT PRIMARY KEY, x INT, y INT);
+         INSERT INTO t VALUES (1, 10, 100), (2, 20, 200), (3, 30, 300);",
+    )
+    .unwrap();
+    wb.bind_table(s, a("A1"), "t", BindModel::Tom).unwrap();
+    wb.set_input(s, a("F1"), "=B1").unwrap();
+    wb.set_input(s, a("F2"), "=SUM(A2:C4)").unwrap();
+    wb.save_with_vfs(STORE, Arc::new(fault.clone())).unwrap();
+    let shown = |wb: &Workbook, cells: [&str; 2]| cells.map(|c| wb.cell(s, a(c)));
+
+    // Renaming the bound header `x` is schema DDL: it checkpoints.
+    wb.set_input(s, a("B1"), "xx").unwrap();
+    let live = shown(&wb, ["F1", "F2"]);
+    assert_eq!(live, [Value::text("xx"), Value::Int(666)]);
+    let mut wb = power_cut(wb, &fault);
+    assert_eq!(shown(&wb, ["F1", "F2"]), live, "after the rename");
+
+    // Deleting the bound column `y` drops it from the table and
+    // checkpoints; the formulas shift left one column.
+    wb.delete_cols(s, 2, 1).unwrap();
+    let live = shown(&wb, ["E1", "E2"]);
+    assert_eq!(live, [Value::text("xx"), Value::Int(66)]);
+    let mut wb = power_cut(wb, &fault);
+    assert_eq!(shown(&wb, ["E1", "E2"]), live, "after the column delete");
+    wb.recalculate();
+    assert_eq!(shown(&wb, ["E1", "E2"]), live, "against a full pass");
 }

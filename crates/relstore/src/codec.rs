@@ -196,6 +196,25 @@ pub fn decode_fragment(mut bytes: &[u8]) -> DsResult<Vec<Value>> {
     Ok(out)
 }
 
+/// Deserialize only the first `len` values of a fragment — the columns a
+/// caller needs when they lead it — leaving the rest undecoded.
+pub(crate) fn decode_fragment_prefix(mut bytes: &[u8], len: usize) -> DsResult<Vec<Value>> {
+    if bytes.len() < 2 {
+        return Err(DsError::Storage("truncated fragment".into()));
+    }
+    let n = get_u16_le(&mut bytes) as usize;
+    if n < len {
+        return Err(DsError::Storage(format!(
+            "fragment of {n} values read for {len}"
+        )));
+    }
+    let mut out = Vec::with_capacity(len);
+    for _ in 0..len {
+        out.push(decode_value(&mut bytes)?);
+    }
+    Ok(out)
+}
+
 /// Exact encoded size of one value.
 pub fn value_size(v: &Value) -> usize {
     match v {

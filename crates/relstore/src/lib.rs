@@ -48,7 +48,8 @@ pub use page::{Page, PAGE_SIZE};
 pub use pager::{PageFile, PageFileSnapshot, PageFileStats};
 pub use schema::{ColumnDef, KeyTuple, Schema};
 pub use snapshot::{
-    load_catalog, load_catalog_with, save_catalog, save_catalog_with, LoadedCatalog, StoreHandle,
+    load_catalog, load_catalog_with, save_catalog, save_catalog_with, LoadedCatalog, Replayed,
+    StoreHandle, WalTail,
 };
 pub use stats::{ColumnSketch, ColumnSummary, TableStatistics, KMV_K};
 pub use table::{GroupPolicy, RowIter, SnapRowIter, Table, TableSnapshot, TableStats};

@@ -14,12 +14,15 @@
 //! rename is the commit point, and a WAL whose generation is older than the
 //! page file's is recognized as already folded in and discarded.
 //!
-//! **Recovery** ([`load_catalog`]): open the page file (header and frame
-//! CRCs validate every byte read), decode the catalog as of the checkpoint,
-//! scan the WAL — stopping at the first torn or corrupt record — and replay,
-//! in commit order, the operations of transactions whose `COMMIT` made it to
-//! disk. The caller then re-checkpoints, folding the replayed tail into a
-//! fresh snapshot.
+//! **Recovery** runs in two steps. [`load_catalog`] opens the page file
+//! (header and frame CRCs validate every byte read), decodes the catalog as
+//! of the checkpoint, and scans the WAL — stopping at the first torn or
+//! corrupt record — keeping the operations of transactions whose `COMMIT`
+//! made it to disk. [`WalTail::replay`] then applies them in commit order.
+//! Between the two the caller may install what the checkpoint carried
+//! beside the catalog (the engine installs each table's statistics, which
+//! replay then maintains as live DML did). The caller then re-checkpoints,
+//! folding the replayed tail into a fresh snapshot.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -31,7 +34,7 @@ use crate::codec::{put_u32, Cursor};
 use crate::pager::PageFile;
 use crate::table::Table;
 use crate::vfs::{os_vfs, Vfs};
-use crate::wal::{apply_committed, committed_ops, scan_wal_with, WalWriter};
+use crate::wal::{apply_committed, committed_ops, scan_wal_with, WalOp, WalWriter};
 
 /// File name of the page file inside a store directory.
 pub const DATA_FILE: &str = "data.dsp";
@@ -67,23 +70,57 @@ impl StoreHandle {
     }
 }
 
-/// A catalog restored from disk by [`load_catalog`].
+/// A checkpoint decoded by [`load_catalog`], with its WAL tail not yet
+/// applied.
 #[derive(Debug)]
 pub struct LoadedCatalog {
-    /// The recovered catalog (tables detached — call
+    /// The catalog as of the checkpoint (tables detached — call
     /// [`StoreHandle::attach_all`] after re-checkpointing).
     pub catalog: Catalog,
     /// Engine-level metadata stored alongside the catalog (sheets etc.).
     pub extra_meta: Vec<u8>,
     /// Generation of the checkpoint the catalog was decoded from.
     pub generation: u64,
-    /// Committed *table* WAL operations replayed on top of the checkpoint.
-    pub replayed: usize,
+    /// The committed WAL tail: [`WalTail::replay`] it onto `catalog`.
+    pub tail: WalTail,
+}
+
+/// The committed operations of a store's WAL, in commit order, waiting to
+/// be replayed onto the checkpoint they belong to.
+#[derive(Debug, Default)]
+pub struct WalTail {
+    ops: Vec<WalOp>,
+}
+
+/// What [`WalTail::replay`] applied, and what it left to the engine.
+#[derive(Debug)]
+pub struct Replayed {
+    /// Committed *table* operations (DML and `CREATE`/`DROP TABLE`) applied
+    /// to the catalog.
+    pub table_ops: usize,
     /// Committed engine-layer operations (sheet edits, binding
     /// create/drop), in commit order. The relational layer cannot apply
     /// these; the engine replays them against its decoded sheets and
     /// binding registry.
-    pub engine_ops: Vec<crate::wal::WalOp>,
+    pub engine_ops: Vec<WalOp>,
+}
+
+impl WalTail {
+    /// Apply the committed table operations to `catalog` — the one
+    /// [`load_catalog`] decoded, detached so replay does not re-log itself
+    /// (ARIES-lite redo) — and hand back the engine operations.
+    pub fn replay(self, catalog: &mut Catalog) -> DsResult<Replayed> {
+        let table_ops = apply_committed(catalog, &self.ops)?;
+        let engine_ops = self
+            .ops
+            .into_iter()
+            .filter(|op| op.is_engine_op())
+            .collect();
+        Ok(Replayed {
+            table_ops,
+            engine_ops,
+        })
+    }
 }
 
 /// Checkpoint `catalog` (plus opaque `extra_meta` from the engine layer)
@@ -187,10 +224,10 @@ pub fn save_catalog_with(
     }
 }
 
-/// Restore a catalog from the store at `dir`: load the checkpoint, then
-/// replay the committed WAL tail (ARIES-lite redo). The returned tables are
-/// detached; re-checkpoint with [`save_catalog`] and attach the fresh
-/// handles.
+/// Decode the checkpoint of the store at `dir` and read its committed WAL
+/// tail, without applying it: the caller replays [`LoadedCatalog::tail`]
+/// onto [`LoadedCatalog::catalog`], then re-checkpoints with
+/// [`save_catalog`] and attaches the fresh handles.
 pub fn load_catalog(dir: &Path) -> DsResult<LoadedCatalog> {
     load_catalog_with(&os_vfs(), dir)
 }
@@ -222,16 +259,13 @@ pub fn load_catalog_with(vfs: &Arc<dyn Vfs>, dir: &Path) -> DsResult<LoadedCatal
         ));
     }
 
-    // Replay the log, but only if it belongs to this checkpoint. An older
+    // The log only counts if it belongs to this checkpoint. An older
     // generation means its effects are already folded into the snapshot; a
     // missing or unreadable header means there is nothing to replay.
-    let mut replayed = 0;
-    let mut engine_ops = Vec::new();
+    let mut tail = WalTail::default();
     if let Some(scan) = scan_wal_with(vfs, dir.join(WAL_FILE))? {
         if scan.generation == generation {
-            let ops = committed_ops(&scan);
-            replayed = apply_committed(&mut catalog, &ops)?;
-            engine_ops = ops.into_iter().filter(|op| op.is_engine_op()).collect();
+            tail.ops = committed_ops(&scan);
         } else if scan.generation > generation {
             return Err(DsError::Storage(format!(
                 "wal generation {} is newer than snapshot generation {generation}",
@@ -243,8 +277,7 @@ pub fn load_catalog_with(vfs: &Arc<dyn Vfs>, dir: &Path) -> DsResult<LoadedCatal
         catalog,
         extra_meta,
         generation,
-        replayed,
-        engine_ops,
+        tail,
     })
 }
 
@@ -292,10 +325,11 @@ mod tests {
         save_catalog(&dir, &cat, b"engine-meta", 1).unwrap();
         drop(cat);
 
-        let loaded = load_catalog(&dir).unwrap();
+        let mut loaded = load_catalog(&dir).unwrap();
         assert_eq!(loaded.generation, 1);
         assert_eq!(loaded.extra_meta, b"engine-meta");
-        assert_eq!(loaded.replayed, 0);
+        let replayed = loaded.tail.replay(&mut loaded.catalog).unwrap();
+        assert_eq!(replayed.table_ops, 0);
         let t = loaded.catalog.get("people").unwrap();
         assert_eq!(t.scan().unwrap(), reference);
         assert_eq!(t.policy(), crate::catalog::DEFAULT_POLICY);
@@ -326,8 +360,9 @@ mod tests {
         drop(t);
         drop(cat);
 
-        let loaded = load_catalog(&dir).unwrap();
-        assert_eq!(loaded.replayed, 3);
+        let mut loaded = load_catalog(&dir).unwrap();
+        let replayed = loaded.tail.replay(&mut loaded.catalog).unwrap();
+        assert_eq!(replayed.table_ops, 3);
         assert_eq!(
             loaded.catalog.get("people").unwrap().scan().unwrap(),
             reference
@@ -354,8 +389,9 @@ mod tests {
             .unwrap();
         drop(stale);
 
-        let loaded = load_catalog(&dir).unwrap();
-        assert_eq!(loaded.replayed, 0, "stale generation must not replay");
+        let mut loaded = load_catalog(&dir).unwrap();
+        let replayed = loaded.tail.replay(&mut loaded.catalog).unwrap();
+        assert_eq!(replayed.table_ops, 0, "stale generation must not replay");
         assert_eq!(loaded.catalog.get("people").unwrap().row_count(), 50);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -386,8 +422,9 @@ mod tests {
         let pages = cat.get("t").unwrap().total_pages() as u64;
         assert!(next.pager.frame_count() > pages);
         drop(cat);
-        let loaded = load_catalog(&dir).unwrap();
-        assert_eq!(loaded.replayed, 0, "the checkpoint folded the WAL in");
+        let mut loaded = load_catalog(&dir).unwrap();
+        let replayed = loaded.tail.replay(&mut loaded.catalog).unwrap();
+        assert_eq!(replayed.table_ops, 0, "the checkpoint folded the WAL in");
         assert_eq!(loaded.catalog.get("t").unwrap().row_count(), 2200);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use dataspread_posindex::{CountedBtree, PositionalIndex, RowKey};
 use dataspread_types::{DsError, DsResult, Value};
 
-use crate::codec::{decode_fragment, encode_fragment};
+use crate::codec::{decode_fragment, decode_fragment_prefix, encode_fragment};
 use crate::page::{Page, SlotId, PAGE_SIZE};
 use crate::pager::PageFile;
 use crate::schema::{ColumnDef, KeyTuple, Schema};
@@ -986,20 +986,70 @@ impl Table {
             statistics,
         };
         t.rebuild_col_group();
-        // Rebuild the primary-key index from the restored rows.
         if t.schema.has_pkey() {
-            for key in t.order.to_vec() {
-                let row = t.get_row(key)?;
-                let kt = t.key_of_row(&row)?;
-                if Arc::make_mut(&mut t.pk_index).insert(kt, key).is_some() {
-                    return Err(DsError::Storage(format!(
-                        "snapshot: duplicate primary key in table {}",
-                        t.name
-                    )));
-                }
-            }
+            t.pk_index = Arc::new(t.decode_pk_index()?);
         }
         Ok(t)
+    }
+
+    /// Rebuild the primary-key index of a decoded table from the key
+    /// columns alone: per row, one row-directory probe in each group that
+    /// holds a key column, and a decode of that fragment only up to its
+    /// last key column (a row with no fragment there takes the group's lazy
+    /// defaults). Rows come in presentation order, which for appended rows
+    /// is key order, and the map is bulk-built from the pairs; a pair it
+    /// folds away was a duplicate key.
+    fn decode_pk_index(&self) -> DsResult<BTreeMap<KeyTuple, RowKey>> {
+        /// A group holding key columns: how many leading fragment values
+        /// to decode, and the (tuple position, fragment offset) of each key
+        /// column in it.
+        struct KeyGroup<'a> {
+            group: &'a Group,
+            width: usize,
+            cols: Vec<(usize, usize)>,
+        }
+        let pk = self.schema.pkey();
+        let mut key_groups = Vec::new();
+        for (g, group) in self.groups.iter().enumerate() {
+            let cols: Vec<(usize, usize)> = (0..)
+                .zip(pk)
+                .filter(|&(_, &c)| self.col_group[c].0 == g)
+                .map(|(i, &c)| (i, self.col_group[c].1))
+                .collect();
+            if let Some(width) = cols.iter().map(|&(_, off)| off + 1).max() {
+                key_groups.push(KeyGroup { group, width, cols });
+            }
+        }
+        let rows = self.order.to_vec();
+        let mut pairs = Vec::with_capacity(rows.len());
+        for key in rows {
+            let mut tuple = vec![Value::Empty; pk.len()];
+            for KeyGroup { group, width, cols } in &key_groups {
+                let Some(&(pidx, slot)) = group.rowdir.get(&key) else {
+                    for &(i, off) in cols {
+                        tuple[i] = group.defaults[off].clone();
+                    }
+                    continue;
+                };
+                let page = group.pages.get(pidx as usize).ok_or_else(|| {
+                    DsError::Storage(format!("snapshot: row directory names page {pidx}"))
+                })?;
+                let mut frag = decode_fragment_prefix(page.read(slot)?, *width)?;
+                for &(i, off) in cols {
+                    tuple[i] = std::mem::take(&mut frag[off]);
+                }
+            }
+            pairs.push((KeyTuple(tuple), key));
+        }
+        let n = pairs.len();
+        let index: BTreeMap<KeyTuple, RowKey> = pairs.into_iter().collect();
+        if index.len() != n {
+            return Err(DsError::Storage(format!(
+                "snapshot: duplicate primary key in table {}",
+                self.name
+            )));
+        }
+        Ok(index)
     }
 
     // ---- optimizer statistics ---------------------------------------------
@@ -1684,6 +1734,79 @@ mod tests {
         let snap_rows: Vec<_> = s.into_iter_sparse(Some(&[2])).map(|r| r.unwrap()).collect();
         let table_rows: Vec<_> = t.iter_rows_sparse(Some(&[2])).map(|r| r.unwrap()).collect();
         assert_eq!(snap_rows, table_rows);
+    }
+
+    /// Encode `t` into a fresh in-memory page file and decode it back.
+    fn snapshot_round_trip(t: &Table) -> DsResult<Table> {
+        let vfs: Arc<dyn crate::vfs::Vfs> = Arc::new(crate::vfs::FaultVfs::default());
+        let pager = PageFile::create_with(&vfs, "/data.dsp", 1).unwrap();
+        let mut buf = Vec::new();
+        t.encode_snapshot(&pager, &mut buf).unwrap();
+        Table::decode_snapshot(&mut crate::codec::Cursor::new(&buf), &pager)
+    }
+
+    /// The key index a decode rebuilds from the key columns alone equals
+    /// the one live DML maintained, for a composite key whose columns sit
+    /// in different groups and not at the front of their fragments.
+    #[test]
+    fn decoded_pk_index_equals_the_live_one() {
+        let schema = Schema::new(vec![
+            ColumnDef::new("a", DataType::Int),
+            ColumnDef::new("b", DataType::Text),
+            ColumnDef::new("c", DataType::Float),
+            ColumnDef::new("d", DataType::Int),
+        ])
+        .unwrap()
+        .with_pkey(&["d", "a"])
+        .unwrap();
+        for policy in [
+            GroupPolicy::RowStore,
+            GroupPolicy::ColumnStore,
+            GroupPolicy::Hybrid { max_group_width: 2 },
+        ] {
+            let mut t = Table::new("t", schema.clone(), policy);
+            for i in 0..300i64 {
+                t.insert(vec![
+                    Value::Int(i % 17),
+                    Value::text(format!("r{i}")),
+                    Value::Float(i as f64),
+                    Value::Int(i / 17),
+                ])
+                .unwrap();
+            }
+            for pos in [250, 100, 3] {
+                t.delete_row(t.key_at(pos).unwrap()).unwrap();
+            }
+            let moved = t.key_at(40).unwrap();
+            t.update_cell(moved, 3, Value::Int(1000)).unwrap();
+            t.insert_at(
+                7,
+                vec![Value::Int(-1), Value::Empty, Value::Empty, Value::Int(-1)],
+            )
+            .unwrap();
+            let back = snapshot_round_trip(&t).unwrap();
+            assert_eq!(back.pk_index, t.pk_index, "{policy:?}");
+            assert_eq!(back.pk_index.len(), t.row_count(), "{policy:?}");
+        }
+    }
+
+    /// A snapshot whose rows repeat a primary key fails to decode.
+    #[test]
+    fn duplicate_primary_key_in_a_snapshot_is_a_storage_error() {
+        for policy in [GroupPolicy::RowStore, GroupPolicy::ColumnStore] {
+            let mut t = sample_table(policy);
+            // Rewrite row 5's key column to row 2's behind the index's back.
+            let (g, off) = t.col_group[0];
+            let key = t.key_at(5).unwrap();
+            let mut frag = t.read_fragment(g, key).unwrap();
+            frag[off] = Value::Int(2);
+            t.write_fragment(g, key, &frag).unwrap();
+            let err = snapshot_round_trip(&t).unwrap_err();
+            assert!(
+                matches!(&err, DsError::Storage(m) if m.contains("duplicate primary key")),
+                "{policy:?}: {err:?}"
+            );
+        }
     }
 
     /// A crafted snapshot whose row-order, page or row-directory count is

@@ -82,7 +82,7 @@ pub enum ReplaySite {
     /// [`apply_committed`].
     Table,
     /// Engine records (sheet edits, binding create/drop): surfaced as
-    /// `LoadedCatalog::engine_ops` and replayed by the engine
+    /// `Replayed::engine_ops` and replayed by the engine
     /// (`Workbook::open` in the `dataspread` crate).
     Engine,
 }

@@ -147,7 +147,8 @@ fn torn_wal_tail_recovers_exact_commit_prefix() {
         for _ in 0..8 {
             let cut = rng.usize_in(WAL_HEADER_SIZE as usize, full.len() + 1);
             std::fs::write(&wal_path, &full[..cut]).unwrap();
-            let loaded = load_catalog(&dir).unwrap();
+            let mut loaded = load_catalog(&dir).unwrap();
+            loaded.tail.replay(&mut loaded.catalog).unwrap();
             let expected = ends.iter().filter(|&&e| e <= cut as u64).count();
             assert_eq!(
                 fingerprint(&loaded.catalog),
@@ -177,7 +178,8 @@ fn corrupted_wal_byte_recovers_commit_prefix_before_damage() {
             let mut damaged = full.clone();
             damaged[off] ^= bit;
             std::fs::write(&wal_path, &damaged).unwrap();
-            let loaded = load_catalog(&dir).unwrap();
+            let mut loaded = load_catalog(&dir).unwrap();
+            loaded.tail.replay(&mut loaded.catalog).unwrap();
             // CRC framing truncates at the record containing the flip:
             // exactly the commits wholly before the damage survive.
             let expected = ends.iter().filter(|&&e| e <= off as u64).count();
@@ -201,8 +203,9 @@ fn corrupted_wal_header_recovers_checkpoint() {
     let mut raw = std::fs::read(&wal_path).unwrap();
     raw[9] ^= 0xFF; // inside the generation field: header CRC now fails
     std::fs::write(&wal_path, &raw).unwrap();
-    let loaded = load_catalog(&dir).unwrap();
-    assert_eq!(loaded.replayed, 0, "unreadable header means no replay");
+    let mut loaded = load_catalog(&dir).unwrap();
+    let replayed = loaded.tail.replay(&mut loaded.catalog).unwrap();
+    assert_eq!(replayed.table_ops, 0, "unreadable header means no replay");
     assert_eq!(fingerprint(&loaded.catalog), states[0]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -223,15 +226,18 @@ fn corrupted_page_file_detected_or_provably_unaffected() {
             let mut damaged = full.clone();
             damaged[off] ^= bit;
             std::fs::write(&data_path, &damaged).unwrap();
-            match load_catalog(&dir) {
+            match load_catalog(&dir).and_then(|mut loaded| {
+                loaded.tail.replay(&mut loaded.catalog)?;
+                Ok(loaded.catalog)
+            }) {
                 // Detected: header or frame checksum caught the flip.
                 Err(_) => {}
                 // Unaffected: the flip landed in bytes recovery never
                 // reads (frame holes). The recovered state must still be
                 // exactly the last committed one.
-                Ok(loaded) => {
+                Ok(catalog) => {
                     assert_eq!(
-                        fingerprint(&loaded.catalog),
+                        fingerprint(&catalog),
                         states[txns],
                         "flip at {off}: undetected damage must be harmless"
                     );

@@ -326,8 +326,9 @@ fn checkpoint_failure_before_rename_rolls_back_and_retries() {
     // Old pair untouched and loadable; the fault was transient, so a
     // retry against the same directory succeeds.
     fault.quiesce();
-    let loaded = load_catalog_with(&vfs, &dir).unwrap();
+    let mut loaded = load_catalog_with(&vfs, &dir).unwrap();
     assert_eq!(loaded.generation, 1);
+    loaded.tail.replay(&mut loaded.catalog).unwrap();
     assert_eq!(loaded.catalog.get("t").unwrap().row_count(), 5);
 
     save_catalog_with(&vfs, &dir, &catalog, b"meta", 2, None).unwrap();
@@ -368,9 +369,10 @@ fn checkpoint_failure_after_rename_poisons_previous_wal() {
     // The store itself is not corrupt: the renamed generation-2 snapshot
     // loads, and the stale generation-1 log is discarded, not replayed.
     fault.quiesce();
-    let loaded = load_catalog_with(&vfs, &dir).unwrap();
+    let mut loaded = load_catalog_with(&vfs, &dir).unwrap();
     assert_eq!(loaded.generation, 2);
-    assert_eq!(loaded.replayed, 0);
+    let replayed = loaded.tail.replay(&mut loaded.catalog).unwrap();
+    assert_eq!(replayed.table_ops, 0);
     assert_eq!(loaded.catalog.get("t").unwrap().row_count(), 3);
 }
 
@@ -402,13 +404,14 @@ fn stale_snapshot_tmp_is_cleaned_and_old_wal_still_replays() {
     drop(handle);
 
     fault.reset_to_recovery(RecoveryImage::Synced);
-    let loaded = load_catalog_with(&vfs, &dir).unwrap();
+    let mut loaded = load_catalog_with(&vfs, &dir).unwrap();
     assert_eq!(
         loaded.generation, 1,
         "the tmp file must not be mistaken for a snapshot"
     );
+    let replayed = loaded.tail.replay(&mut loaded.catalog).unwrap();
     assert_eq!(
-        loaded.replayed, 1,
+        replayed.table_ops, 1,
         "the WAL tail belongs to generation 1 and replays"
     );
     assert_eq!(loaded.catalog.get("t").unwrap().row_count(), 3);
