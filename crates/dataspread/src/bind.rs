@@ -12,17 +12,21 @@
 //!   B-tree) or schema changes instead of breaking the mapping.
 //! * **table → sheet**: SQL DML/DDL against a bound table re-renders the
 //!   region and invalidates dependent formulas through `calc`, so `=SUM`
-//!   over a bound region recomputes after an `INSERT`. An `UPDATE`
-//!   re-renders only the rows in its change set; everything else diffs
-//!   the region cell by cell. Either way untouched cells cost nothing
-//!   downstream.
+//!   over a bound region recomputes after an `INSERT`. DML re-renders from
+//!   its change set: an `UPDATE` only its rows, an `INSERT` or `DELETE`
+//!   the rows from the first position it touched down to the region's
+//!   end, so the cost is flat in the rows above. DDL, structural edits
+//!   and unlogged catalog writes diff the region cell by cell. Either way
+//!   untouched cells cost nothing downstream.
 //!
 //! The durable metadata ([`BindingMeta`]) lives in `relstore::binding`;
 //! bindings ride checkpoints as a workbook-meta section and the WAL as
 //! [`WalOp::BindCreate`]/[`WalOp::BindDrop`] records, so they survive
 //! `save`/`open` and crash recovery. The *mirror cells* a binding renders
-//! are never sheet-WAL-logged — they are derivable, and recovery re-renders
-//! every binding from the recovered tables.
+//! are never sheet-WAL-logged — they are derivable. A checkpoint records
+//! which mirrors were current, and recovery re-renders those from the
+//! replayed tail's change set and every other one from its recovered
+//! table.
 //!
 //! Conflict rules (see `docs/BINDING.md` for the full matrix):
 //!
@@ -37,12 +41,12 @@
 //!   (WAL-logged so the freeze is durable).
 
 use dataspread_relstore::wal::WalOp;
-use dataspread_relstore::RowKey;
+use dataspread_relstore::{ChangeKind, ChangeSet, RowKey};
 use dataspread_types::{col_to_letters, CellAddr, DataType, DsError, DsResult, Range, Value};
 
 pub use dataspread_relstore::{BindModel, BindingMeta};
 
-use crate::engine::UpdatedRows;
+use crate::sheet::Sheet;
 use crate::workbook::{SheetId, Workbook};
 
 /// One live binding: the durable metadata plus the engine-side refresh
@@ -398,15 +402,21 @@ impl Workbook {
         let version = t.version();
         drop(t);
         self.sheets[sheet.0].write_bound(addr, conformed);
-        let own_id = self.bindings.bindings[bi].meta.id;
-        self.bindings.bindings[bi].seen_version = version;
+        let own = &mut self.bindings.bindings[bi];
+        let own_id = own.meta.id;
+        // The mirror matches the table again if it did before the edit. A
+        // binding already behind (direct catalog writes not yet synced)
+        // catches up in full, which also records the extent it now shows.
+        if own.seen_version.checked_add(1) == Some(version) {
+            own.seen_version = version;
+        } else {
+            self.refresh_binding_slot(bi, false, None)?;
+        }
         // Sibling bindings displaying the same table saw the DML too: it
         // is one row rewritten in place, so they re-render that row (and
         // fall back to a diff if they were already behind).
-        let edited = UpdatedRows {
-            table: meta.table.clone(),
-            keys: vec![key],
-        };
+        let mut edited = ChangeSet::default();
+        edited.push(&meta.table, ChangeKind::Update, key, pos);
         for id in self.binding_ids() {
             if id == own_id {
                 continue;
@@ -799,10 +809,11 @@ impl Workbook {
 
     /// The body of [`Workbook::sync_bindings`], for callers already inside
     /// the write boundary (the post-statement hook of
-    /// [`Workbook::execute`], positional DML) and for `open`. `updated` is
-    /// the statement's change set, when it has one: bindings it covers
-    /// re-render only its rows (see [`Workbook::refresh_binding_slot`]).
-    pub(crate) fn refresh_bindings(&mut self, updated: Option<&UpdatedRows>) -> DsResult<()> {
+    /// [`Workbook::execute`], positional DML) and for `open`. `changes` is
+    /// the statement's (or the replayed tail's) change set, when it has
+    /// one: bindings it covers re-render from it (see
+    /// [`Workbook::refresh_binding_slot`]).
+    pub(crate) fn refresh_bindings(&mut self, changes: Option<&ChangeSet>) -> DsResult<()> {
         // Pass 1: tables that no longer exist.
         let orphaned: Vec<u64> = self
             .bindings
@@ -820,7 +831,7 @@ impl Workbook {
         // detach a binding with stale metadata, shifting indices.
         for id in self.binding_ids() {
             if let Some(i) = self.bindings.index_of(id) {
-                self.refresh_binding_slot(i, false, updated)?;
+                self.refresh_binding_slot(i, false, changes)?;
             }
         }
         Ok(())
@@ -848,19 +859,25 @@ impl Workbook {
     /// invalidation stays incremental. Skips entirely when the table
     /// version and extent are unchanged (unless `force`).
     ///
-    /// The **row path** re-renders just the rows of `updated` when it
-    /// names this binding's table, every version bump since the last
-    /// render is one of its rewrites (`seen_version + keys == version`),
-    /// and the rectangle has not moved. Anything else — inserts, deletes,
-    /// DDL, structural edits, `force`, version jumps from direct catalog
-    /// access, a failed statement — takes the **region diff**: the whole
-    /// table is compared into the region's cells and cells the region
-    /// shrank away from are cleared.
+    /// The **change-set path** applies when `changes` covers this binding's
+    /// table, every version bump since the last render is one of its
+    /// entries (`seen_version + entries == version`), and the rectangle
+    /// kept its anchor and width. Rows above the first position an insert
+    /// or delete touched have not moved, so of those only the updated rows
+    /// re-render. From that position down the region is diffed against the
+    /// table in one pass, and the rows the region shrank away from are
+    /// cleared. The cost is linear in the rows at and below the first
+    /// touched position and flat in the rows above; an `UPDATE` renders
+    /// just its rows. Anything else — `force`, DDL, structural edits,
+    /// version jumps from direct catalog access, a failed statement — takes
+    /// the **region diff**: the header and the whole table are compared
+    /// into the region's cells, and cells the region shrank away from are
+    /// cleared.
     pub(crate) fn refresh_binding_slot(
         &mut self,
         i: usize,
         force: bool,
-        updated: Option<&UpdatedRows>,
+        changes: Option<&ChangeSet>,
     ) -> DsResult<()> {
         let (meta, last_rect, seen) = {
             let b = &self.bindings.bindings[i];
@@ -904,57 +921,62 @@ impl Workbook {
         let cols: Vec<usize> = meta.cols.iter().map(|&c| c as usize).collect();
         let sheet = &mut self.sheets[sheet_idx];
         let data_start = meta.row + header as u32;
-        let rows_only = updated.filter(|u| {
-            u.table.eq_ignore_ascii_case(&meta.table)
-                && seen.checked_add(u.keys.len() as u64) == Some(version)
-                && rect == last_rect
-        });
-        if let Some(u) = rows_only {
-            for &key in &u.keys {
-                let pos = t.position_of(key).ok_or_else(|| {
-                    DsError::Storage(format!("row key {key} not in table {}", meta.table))
-                })?;
-                let row = t.get_row_project(key, &cols)?;
-                for (slot, v) in row.into_iter().enumerate() {
+        let delta = changes
+            .filter(|_| !force)
+            .and_then(|c| c.for_table(&meta.table))
+            .filter(|entries| seen.checked_add(entries.len() as u64) == Some(version))
+            .zip(last_rect.zip(rect))
+            .filter(|(_, (old, new))| old.start == new.start && old.width() == new.width());
+        if let Some((entries, (old, new))) = delta {
+            let first = (entries.iter())
+                .filter(|e| e.kind != ChangeKind::Update)
+                .map(|e| e.pos)
+                .min()
+                .unwrap_or(usize::MAX);
+            // Above `first` no row moved: re-render the updated ones where
+            // they stand.
+            for e in entries.iter().filter(|e| e.pos < first) {
+                let row = t.get_row_project(e.key, &cols)?;
+                for (slot, v) in row.iter().enumerate() {
+                    let addr = CellAddr::new(data_start + e.pos as u32, meta.col + slot as u32);
+                    diffed += render(sheet, addr, v);
+                }
+            }
+            for (off, item) in t.iter_rows_sparse_from(first, Some(&cols)).enumerate() {
+                let (_, row) = item?;
+                let r = data_start + (first + off) as u32;
+                for (slot, &ci) in cols.iter().enumerate() {
+                    diffed += render(sheet, CellAddr::new(r, meta.col + slot as u32), &row[ci]);
+                }
+            }
+            // Shrink: clear the rows the region vacated below its end.
+            for r in new.end.row + 1..=old.end.row {
+                for c in old.start.col..=old.end.col {
+                    diffed += render(sheet, CellAddr::new(r, c), &Value::Empty);
+                }
+            }
+        } else {
+            if header {
+                for (slot, &ci) in cols.iter().enumerate() {
+                    let addr = CellAddr::new(meta.row, meta.col + slot as u32);
+                    let v = Value::text(t.schema().column(ci).name.clone());
+                    diffed += render(sheet, addr, &v);
+                }
+            }
+            for (pos, item) in t.iter_rows_sparse(Some(&cols)).enumerate() {
+                let (_, row) = item?;
+                for (slot, &ci) in cols.iter().enumerate() {
                     let addr = CellAddr::new(data_start + pos as u32, meta.col + slot as u32);
-                    if sheet.value(addr) != v {
-                        sheet.write_bound(addr, v);
-                        diffed += 1;
+                    diffed += render(sheet, addr, &row[ci]);
+                }
+            }
+            // Shrink: clear cells the previous render covered but this one
+            // does not.
+            if let Some(old) = last_rect {
+                for addr in old.iter_cells() {
+                    if rect.is_none_or(|r| !r.contains(addr)) {
+                        diffed += render(sheet, addr, &Value::Empty);
                     }
-                }
-            }
-            self.obs.bind_cells_diffed.add(diffed);
-            self.bindings.bindings[i].seen_version = version;
-            return Ok(());
-        }
-        if header {
-            for (slot, &ci) in cols.iter().enumerate() {
-                let addr = CellAddr::new(meta.row, meta.col + slot as u32);
-                let v = Value::text(t.schema().column(ci).name.clone());
-                if sheet.value(addr) != v {
-                    sheet.write_bound(addr, v);
-                    diffed += 1;
-                }
-            }
-        }
-        for (pos, item) in t.iter_rows_sparse(Some(&cols)).enumerate() {
-            let (_, row) = item?;
-            for (slot, &ci) in cols.iter().enumerate() {
-                let addr = CellAddr::new(data_start + pos as u32, meta.col + slot as u32);
-                let v = &row[ci];
-                if &sheet.value(addr) != v {
-                    sheet.write_bound(addr, v.clone());
-                    diffed += 1;
-                }
-            }
-        }
-        // Shrink: clear cells the previous render covered but this one
-        // does not.
-        if let Some(old) = last_rect {
-            for addr in old.iter_cells() {
-                if rect.is_none_or(|r| !r.contains(addr)) && !sheet.value(addr).is_empty() {
-                    sheet.write_bound(addr, Value::Empty);
-                    diffed += 1;
                 }
             }
         }
@@ -1023,6 +1045,16 @@ impl Workbook {
 pub(crate) struct RowsPlan {
     inner: RowDeletePlan,
     span: (u32, u32),
+}
+
+/// Write `v` into a mirror cell unless it already shows it; returns the
+/// number of cells written (0 or 1).
+fn render(sheet: &mut Sheet, addr: CellAddr, v: &Value) -> u64 {
+    if &sheet.value(addr) == v {
+        return 0;
+    }
+    sheet.write_bound(addr, v.clone());
+    1
 }
 
 /// A fresh, schema-unique column name for a column inserted through the

@@ -552,6 +552,27 @@ mod tests {
         wb.metrics_snapshot().counter(name).unwrap()
     }
 
+    /// A formula typed into a workbook is evaluated once, by the edit's
+    /// flush: its range is walked once, not once by the sheet and again by
+    /// the flush.
+    #[test]
+    fn a_typed_formula_is_evaluated_once() {
+        let mut wb = Workbook::new();
+        let s = wb.current_sheet();
+        let ones: Vec<Vec<Value>> = (0..1000).map(|_| vec![Value::Int(1)]).collect();
+        wb.set_region(s, a("A1"), &ones).unwrap();
+        use dataspread_gridstore::CellStore;
+        let scanned = |wb: &Workbook| wb.sheet(s).store().stats().cells_scanned();
+        let before = scanned(&wb);
+        let shown = wb.set_input(s, a("B1"), "=SUM(A1:A1000)").unwrap();
+        assert_eq!(shown, Value::Int(1000));
+        assert_eq!(scanned(&wb) - before, 1000);
+        // Unparseable source still shows `#NAME?`, with nothing to walk.
+        let shown = wb.set_input(s, a("B2"), "=SUM(A1:").unwrap();
+        assert_eq!(shown, Value::Error(CellError::Name));
+        assert_eq!(scanned(&wb) - before, 1000);
+    }
+
     #[test]
     fn formula_evaluates_and_tracks_edits() {
         let mut wb = Workbook::new();

@@ -8,10 +8,13 @@
 //! rows through the same access path as a `SELECT` leaf
 //! (`exec::key_probe`): one primary-key probe when the `WHERE`
 //! clause pins the whole key, else a streaming scan, with the predicate
-//! checked on every candidate either way. An `UPDATE` reports the rows it
-//! rewrote (`UpdatedRows`) so bound regions re-render just those.
+//! checked on every candidate either way. Every DML statement reports what
+//! it did as a [`ChangeSet`] — each row inserted, deleted or rewritten,
+//! with its display position at apply time — built here around the table
+//! calls, so bound regions re-render only the rows at and below the first
+//! position the statement touched (an `UPDATE`: only its rows).
 
-use dataspread_relstore::{Catalog, ColumnDef, RowKey, Schema, Table};
+use dataspread_relstore::{Catalog, ChangeKind, ChangeSet, ColumnDef, RowKey, Schema, Table};
 use dataspread_sql::ast::{AlterAction, Expr, InsertSource, Statement};
 use dataspread_sql::expr::{bind, eval, truth, BExpr, ColInfo};
 use dataspread_sql::planner::split_conjuncts;
@@ -54,26 +57,15 @@ impl QueryResult {
     }
 }
 
-/// The change set of one `UPDATE`: the rows it rewrote in place, each a
-/// single version bump of `table`. Bindings of the table re-render these
-/// rows instead of diffing their whole region.
-#[derive(Debug)]
-pub(crate) struct UpdatedRows {
-    /// The table's canonical name.
-    pub table: String,
-    /// The keys the statement applied, in application order.
-    pub keys: Vec<RowKey>,
-}
-
-/// Execute one statement, returning an `UPDATE`'s change set beside its
-/// result. A failed statement returns none: whatever rows it did apply are
-/// left to the bindings' full diff.
+/// Execute one statement, returning a DML statement's change set beside
+/// its result. A failed statement returns none: whatever rows it did apply
+/// are left to the bindings' full diff.
 pub(crate) fn execute(
     catalog: &mut Catalog,
     resolver: &dyn SheetResolver,
     stmt: Statement,
     metrics: &ExecMetrics,
-) -> DsResult<(QueryResult, Option<UpdatedRows>)> {
+) -> DsResult<(QueryResult, Option<ChangeSet>)> {
     match stmt {
         query @ (Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_)) => {
             run_query(catalog, resolver, &query, metrics)
@@ -93,24 +85,28 @@ pub(crate) fn execute(
             table,
             columns,
             source,
-        } => run_insert(
-            catalog,
-            resolver,
-            metrics,
-            &table,
-            columns.as_deref(),
-            &source,
-        ),
+        } => {
+            let changes = run_insert(
+                catalog,
+                resolver,
+                metrics,
+                &table,
+                columns.as_deref(),
+                &source,
+            )?;
+            return Ok(affected(changes));
+        }
         Statement::Update {
             table,
             sets,
             filter,
         } => {
-            let updated = run_update(catalog, resolver, &table, &sets, filter.as_ref())?;
-            return Ok((QueryResult::Affected(updated.keys.len()), Some(updated)));
+            let changes = run_update(catalog, resolver, &table, &sets, filter.as_ref())?;
+            return Ok(affected(changes));
         }
         Statement::Delete { table, filter } => {
-            run_delete(catalog, resolver, &table, filter.as_ref())
+            let changes = run_delete(catalog, resolver, &table, filter.as_ref())?;
+            return Ok(affected(changes));
         }
         Statement::CreateTable {
             name,
@@ -208,6 +204,11 @@ fn run_query(
 
 // ---- DML -----------------------------------------------------------------
 
+/// A DML statement's result: its row count, and its change set.
+fn affected(changes: ChangeSet) -> (QueryResult, Option<ChangeSet>) {
+    (QueryResult::Affected(changes.len()), Some(changes))
+}
+
 fn run_insert(
     catalog: &mut Catalog,
     resolver: &dyn SheetResolver,
@@ -215,7 +216,7 @@ fn run_insert(
     table: &str,
     columns: Option<&[String]>,
     source: &InsertSource,
-) -> DsResult<QueryResult> {
+) -> DsResult<ChangeSet> {
     // Materialize the input first: an INSERT ... SELECT reads the catalog
     // immutably before the write borrow starts.
     let input: Vec<Vec<Value>> = match source {
@@ -251,7 +252,8 @@ fn run_insert(
         }
         None => None,
     };
-    let mut n = 0;
+    let name = t.name().to_string();
+    let mut changes = ChangeSet::default();
     for vals in input {
         let row = match &positions {
             Some(idx) => {
@@ -278,10 +280,11 @@ fn run_insert(
                 vals
             }
         };
-        t.insert(row)?;
-        n += 1;
+        let pos = t.row_count();
+        let key = t.insert(row)?;
+        changes.push(&name, ChangeKind::Insert, key, pos);
     }
-    Ok(QueryResult::Affected(n))
+    Ok(changes)
 }
 
 fn run_update(
@@ -290,7 +293,7 @@ fn run_update(
     table: &str,
     sets: &[(String, Expr)],
     filter: Option<&Expr>,
-) -> DsResult<UpdatedRows> {
+) -> DsResult<ChangeSet> {
     // Find the rows against the immutable table, then apply.
     let (name, updates) = {
         let t = catalog.get(table)?;
@@ -310,25 +313,27 @@ fn run_update(
             Some(f) => Some(bind(f, &cols, None, resolver)?),
             None => None,
         };
-        let mut updates: Vec<(RowKey, Vec<Value>)> = Vec::new();
-        for_each_match(&t, pred.as_ref(), &mut |key, row| {
+        let mut updates: Vec<(RowKey, usize, Vec<Value>)> = Vec::new();
+        for_each_match(&t, pred.as_ref(), &mut |key, pos, row| {
             let mut new_row = row.clone();
             for (i, b) in &plan {
                 // SQL semantics: every SET expression sees the OLD row.
                 new_row[*i] = eval(b, &row, &[])?;
             }
-            updates.push((key, new_row));
+            updates.push((key, pos, new_row));
             Ok(())
         })?;
         (t.name().to_string(), updates)
     };
     let mut t = catalog.get_mut(table)?;
-    let mut keys = Vec::with_capacity(updates.len());
-    for (key, row) in updates {
+    let mut changes = ChangeSet::default();
+    for (key, pos, row) in updates {
+        // An update moves no row, so the position found is the one it
+        // applies at.
         t.update_row(key, row)?;
-        keys.push(key);
+        changes.push(&name, ChangeKind::Update, key, pos);
     }
-    Ok(UpdatedRows { table: name, keys })
+    Ok(changes)
 }
 
 fn run_delete(
@@ -336,7 +341,7 @@ fn run_delete(
     resolver: &dyn SheetResolver,
     table: &str,
     filter: Option<&Expr>,
-) -> DsResult<QueryResult> {
+) -> DsResult<ChangeSet> {
     let doomed: Vec<RowKey> = {
         let t = catalog.get(table)?;
         let pred = match filter {
@@ -344,18 +349,20 @@ fn run_delete(
             None => None,
         };
         let mut doomed = Vec::new();
-        for_each_match(&t, pred.as_ref(), &mut |key, _| {
+        for_each_match(&t, pred.as_ref(), &mut |key, _, _| {
             doomed.push(key);
             Ok(())
         })?;
         doomed
     };
     let mut t = catalog.get_mut(table)?;
-    let n = doomed.len();
+    let name = t.name().to_string();
+    let mut changes = ChangeSet::default();
     for key in doomed {
-        t.delete_row(key)?;
+        let pos = t.delete_row(key)?;
+        changes.push(&name, ChangeKind::Delete, key, pos);
     }
-    Ok(QueryResult::Affected(n))
+    Ok(changes)
 }
 
 /// `t`'s columns, qualified by the name the statement used.
@@ -365,30 +372,35 @@ fn table_cols(t: &Table, table: &str) -> Vec<ColInfo> {
         .collect()
 }
 
-/// Visit the rows of `t` that `pred` selects, in presentation order. The
-/// access path is the `SELECT` leaf's: a primary-key probe when the
-/// predicate's conjuncts pin the whole key, else a streaming scan. Either
-/// way the whole predicate is evaluated on every candidate row.
+/// Visit the rows of `t` that `pred` selects, in presentation order, each
+/// with its display position. The access path is the `SELECT` leaf's: a
+/// primary-key probe when the predicate's conjuncts pin the whole key, else
+/// a streaming scan. Either way the whole predicate is evaluated on every
+/// candidate row.
 fn for_each_match(
     t: &Table,
     pred: Option<&BExpr>,
-    visit: &mut dyn FnMut(RowKey, Vec<Value>) -> DsResult<()>,
+    visit: &mut dyn FnMut(RowKey, usize, Vec<Value>) -> DsResult<()>,
 ) -> DsResult<()> {
+    type Rows<'a> = Box<dyn Iterator<Item = DsResult<(usize, (RowKey, Vec<Value>))>> + 'a>;
     let probe = pred.and_then(|p| key_probe(t.schema(), &split_conjuncts(p.clone())));
-    let rows: Box<dyn Iterator<Item = DsResult<(RowKey, Vec<Value>)>> + '_> = match probe {
-        Some(kt) => Box::new(
-            (t.key_lookup(&kt).into_iter()).map(|key| t.get_row(key).map(|row| (key, row))),
-        ),
-        None => Box::new(t.iter_rows()),
+    let rows: Rows<'_> = match probe {
+        Some(kt) => Box::new((t.key_lookup(&kt).into_iter()).map(|key| {
+            let pos = t.position_of(key).ok_or_else(|| {
+                DsError::Storage(format!("row key {key} not in table {}", t.name()))
+            })?;
+            Ok((pos, (key, t.get_row(key)?)))
+        })),
+        None => Box::new(t.iter_rows().enumerate().map(|(pos, r)| Ok((pos, r?)))),
     };
     for item in rows {
-        let (key, row) = item?;
+        let (pos, (key, row)) = item?;
         let hit = match pred {
             Some(p) => truth(&eval(p, &row, &[])?)? == Some(true),
             None => true,
         };
         if hit {
-            visit(key, row)?;
+            visit(key, pos, row)?;
         }
     }
     Ok(())

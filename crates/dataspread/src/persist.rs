@@ -25,8 +25,10 @@
 //!   [`Workbook::add_sheet`] trigger an automatic checkpoint.
 //! * **Bindings** ([`Workbook::bind_table`]) are WAL-logged at
 //!   create/drop and checkpointed in the workbook metadata (version 3);
-//!   the mirror cells they render are derivable and re-rendered from the
-//!   recovered tables on [`Workbook::open`].
+//!   the mirror cells they render are derivable. A mirror the checkpoint
+//!   marked current (version 6) is brought up to date on
+//!   [`Workbook::open`] from the replayed tail's change set; any other is
+//!   re-rendered from its recovered table.
 //! * Direct [`Workbook::catalog_mut`] DDL (e.g. `create_table`) is *not*
 //!   auto-persisted — call [`Workbook::save`] or [`Workbook::checkpoint`]
 //!   afterwards.
@@ -55,12 +57,15 @@ use crate::workbook::Workbook;
 /// (table-bound regions); version 4 added the optimizer-statistics section
 /// (per-table column sketches). Version 5 changed no layout: it marks the
 /// cached formula values as written by the current evaluation semantics.
-/// Open trusts cached values only from a stream at the current version, so
-/// **any change to what a formula evaluates to must bump this version**;
-/// an older stream recomputes every formula once on open. Version 1–3
-/// streams are still readable (they decode with no formulas, no bindings,
-/// and freshly analyzed statistics respectively).
-const WB_META_VERSION: u8 = 5;
+/// Version 6 added one byte per binding recording whether its mirror cells
+/// were current with the table when the checkpoint was written; before it,
+/// every mirror is re-rendered in full on open. Open trusts cached values
+/// only from a stream at the current version, so **any change to what a
+/// formula evaluates to must bump this version**; an older stream
+/// recomputes every formula once on open. Version 1–3 streams are still
+/// readable (they decode with no formulas, no bindings, and freshly
+/// analyzed statistics respectively).
+const WB_META_VERSION: u8 = 6;
 
 /// The highest checkpoint generation evidenced on disk at `dir` — from the
 /// page file or a leftover WAL, whichever is newer (0 when neither is
@@ -118,6 +123,13 @@ pub(crate) fn encode_workbook_meta(wb: &Workbook) -> Vec<u8> {
         put_str(&mut buf, &name);
         let t = wb.catalog.get(&name).expect("listed table");
         t.statistics().encode(&mut buf);
+    }
+    // Version 6: per binding, in registry order, whether its mirror showed
+    // its table's current version. Open brings such a mirror up to date
+    // from the replayed tail alone.
+    for b in &wb.bindings.bindings {
+        let current = (wb.catalog.get(&b.meta.table)).is_ok_and(|t| t.version() == b.seen_version);
+        buf.push(current as u8);
     }
     buf
 }
@@ -211,6 +223,17 @@ pub(crate) fn decode_workbook_meta(meta: &[u8], catalog: Catalog) -> DsResult<Wo
     } else {
         for name in catalog.table_names() {
             catalog.get_mut(&name)?.analyze()?;
+        }
+    }
+    // Version 6: a mirror that was current matches the decoded table, whose
+    // version restarts with the decode; any other keeps its forced refresh.
+    if version >= 6 {
+        for b in &mut bindings.bindings {
+            if cur.u8()? != 0 {
+                if let Ok(t) = catalog.get(&b.meta.table) {
+                    b.seen_version = t.version();
+                }
+            }
         }
     }
     if !cur.is_empty() {
@@ -362,16 +385,29 @@ impl Workbook {
         // itself. A replayed structural edit rewrites other sheets'
         // references as the live edit did, in log order, so a formula
         // logged after it is not shifted by it.
+        let mut structural = false;
         for op in &replayed.engine_ops {
+            structural |= matches!(op, WalOp::SheetGrid { .. });
             wb.apply_engine_op(op)?;
         }
-        // Re-render every bound region from the recovered tables (mirror
-        // cells are never WAL-logged — they are derivable), then fold the
-        // replayed edits in: the flush recomputes the cells replay and the
-        // re-render dirtied and their dependents — every formula when a
-        // replayed structural edit or an older metadata version left the
-        // index stale.
-        wb.refresh_bindings(None)?;
+        // Bring every bound region up to date (mirror cells are never
+        // WAL-logged — they are derivable): a mirror the checkpoint marked
+        // current re-renders from the tail's change set, as the live
+        // statements did; any other, or every one after a replayed DDL or
+        // structural edit, diffs its whole region. Then fold the replayed
+        // edits in: the flush recomputes the cells replay and the re-render
+        // dirtied and their dependents — every formula when a replayed
+        // structural edit or an older metadata version left the index
+        // stale.
+        let changes = if replayed.ddl || structural {
+            for b in &mut wb.bindings.bindings {
+                b.seen_version = u64::MAX;
+            }
+            None
+        } else {
+            Some(&replayed.changes)
+        };
+        wb.refresh_bindings(changes)?;
         wb.flush_grid();
         // Fold the replayed tail into a fresh checkpoint + empty WAL.
         wb.checkpoint_into(dir, generation + 1, &vfs)?;
@@ -410,7 +446,7 @@ impl Workbook {
                         s.set_value(addr, v.clone())?;
                     }
                     SheetCellContent::Formula(src) => {
-                        s.set_formula(addr, src)?;
+                        s.store_formula(addr, src)?;
                     }
                 }
             }
@@ -689,6 +725,36 @@ mod tests {
             save_catalog_with(&os_vfs(), &dir, &Catalog::new(), &stream(version), 1, None).unwrap();
             let wb = Workbook::open(&dir).unwrap();
             assert_eq!(wb.cell(wb.current_sheet(), b1), shown, "version {version}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Version 6 records whether each binding's mirror was current when the
+    /// checkpoint was written, and open brings such a mirror up to date
+    /// from the WAL tail alone. A version-5 stream has no such byte, so
+    /// open re-renders every mirror in full. Shown with a checkpointed
+    /// mirror cell its table disagrees with: the current stream opens
+    /// showing it as written, the older one repairs it.
+    #[test]
+    fn older_streams_rerender_every_mirror_on_open() {
+        let mut wb = Workbook::new();
+        wb.execute_script("CREATE TABLE t (a INT); INSERT INTO t VALUES (1), (2)")
+            .unwrap();
+        let s = wb.current_sheet();
+        wb.bind_table(s, CellAddr::new(0, 0), "t", crate::BindModel::Rom)
+            .unwrap();
+        let a2 = CellAddr::new(1, 0);
+        wb.sheets[s.0].write_bound(a2, Value::Int(99));
+        let current = encode_workbook_meta(&wb);
+        let mut older = current.clone();
+        older[0] = 5;
+        older.pop(); // the one binding's current byte
+        let dir = std::env::temp_dir().join(format!("dsp-mirror-ver-{}", std::process::id()));
+        for (stream, shown) in [(current, Value::Int(99)), (older, Value::Int(2))] {
+            let _ = std::fs::remove_dir_all(&dir);
+            save_catalog_with(&os_vfs(), &dir, &wb.catalog, &stream, 1, None).unwrap();
+            let reopened = Workbook::open(&dir).unwrap();
+            assert_eq!(reopened.cell(s, a2), shown, "version {}", stream[0]);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -203,7 +203,7 @@ impl Sheet {
     ///
     /// On a lone sheet the formula is evaluated once, immediately, against
     /// this sheet (cross-sheet references read `#REF!`). Inside a workbook,
-    /// use [`crate::Workbook::set_input`] — it re-evaluates through the
+    /// use [`crate::Workbook::set_input`] — it evaluates through the
     /// cross-sheet dependency graph and recomputes dependents.
     pub fn set_input(&mut self, addr: CellAddr, input: &str) -> DsResult<Value> {
         if input.trim_start().starts_with('=') {
@@ -214,15 +214,38 @@ impl Sheet {
         Ok(v)
     }
 
+    /// [`Sheet::set_input`] inside a workbook: a formula is stored, not
+    /// evaluated (see [`Sheet::store_formula`]).
+    pub(crate) fn store_input(&mut self, addr: CellAddr, input: &str) -> DsResult<()> {
+        if input.trim_start().starts_with('=') {
+            return self.store_formula(addr, input.trim());
+        }
+        self.set_value(addr, Value::from_input(input)).map(drop)
+    }
+
     /// Store formula source at `addr` and evaluate it once against this
     /// sheet. Returns the displayed value.
     pub fn set_formula(&mut self, addr: CellAddr, src: &str) -> DsResult<Value> {
-        self.log_cell(addr, SheetCellContent::Formula(src.to_string()))?;
-        let ast = Formula::parse(src).ok();
-        let v = match &ast {
+        self.store_formula(addr, src)?;
+        let v = match self.formula_ast(addr) {
             Some(f) => f.eval(&LocalCells(self)),
             None => Value::Error(CellError::Name),
         };
+        self.store_write(addr, v.clone());
+        Ok(v)
+    }
+
+    /// Store formula source at `addr` and mark it pending, without
+    /// evaluating it: inside a workbook (live edits and WAL replay alike)
+    /// the write boundary's flush evaluates it once, with its dependents.
+    /// Unparseable source shows `#NAME?` at once, which no evaluation
+    /// changes.
+    pub(crate) fn store_formula(&mut self, addr: CellAddr, src: &str) -> DsResult<()> {
+        self.log_cell(addr, SheetCellContent::Formula(src.to_string()))?;
+        let ast = Formula::parse(src).ok();
+        if ast.is_none() {
+            self.store_write(addr, Value::Error(CellError::Name));
+        }
         self.formulas.insert(
             addr,
             CellFormula {
@@ -231,8 +254,7 @@ impl Sheet {
             },
         );
         self.pending.insert(addr);
-        self.store_write(addr, v.clone());
-        Ok(v)
+        Ok(())
     }
 
     /// The formula source at `addr`, if the cell holds one.

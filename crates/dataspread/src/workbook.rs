@@ -10,7 +10,7 @@ use std::collections::HashMap;
 
 use dataspread_formula::GridOp;
 use dataspread_gridstore::CellStore;
-use dataspread_relstore::{Catalog, ColumnDef, RowKey, Schema, StoreHandle};
+use dataspread_relstore::{Catalog, ChangeKind, ChangeSet, ColumnDef, RowKey, Schema, StoreHandle};
 use dataspread_sql::ast::Statement;
 use dataspread_sql::parser::{parse_statement, parse_statements};
 use dataspread_sql::resolver::SheetResolver;
@@ -195,8 +195,11 @@ impl Workbook {
             Some(_) if input.trim_start().starts_with('=') => Err(DsError::Interface(
                 "a table-bound cell cannot hold a formula".into(),
             )),
-            Some(bi) => wb.bound_set_value(bi, sheet, addr, Value::from_input(input)),
-            None => wb.sheets[sheet.0].set_input(addr, input),
+            Some(bi) => wb
+                .bound_set_value(bi, sheet, addr, Value::from_input(input))
+                .map(drop),
+            // The boundary's flush evaluates a typed formula, once.
+            None => wb.sheets[sheet.0].store_input(addr, input),
         })?;
         Ok(self.sheets[sheet.0].value(addr))
     }
@@ -402,11 +405,11 @@ impl Workbook {
                 }
             }
         }
-        // An UPDATE's change set lets its table's bindings re-render just
-        // the rewritten rows; a failed statement has none, so the rows it
-        // did apply reach the grid through the full diff.
-        let (result, updated) = match result {
-            Ok((r, updated)) => (Ok(r), updated),
+        // A DML statement's change set lets its table's bindings re-render
+        // from the first row it touched; a failed statement has none, so
+        // the rows it did apply reach the grid through the full diff.
+        let (result, changes) = match result {
+            Ok((r, changes)) => (Ok(r), changes),
             Err(e) => (Err(e), None),
         };
         let result = self.edit(|wb| {
@@ -418,7 +421,7 @@ impl Workbook {
                 // boundary recomputes the formulas watching them. The rows
                 // a failed statement applied stay (see above), so they
                 // sync too; the statement's error outranks a sync error.
-                let synced = wb.refresh_bindings(updated.as_ref());
+                let synced = wb.refresh_bindings(changes.as_ref());
                 if result.is_ok() {
                     synced?;
                 }
@@ -708,9 +711,14 @@ impl Workbook {
     ) -> DsResult<RowKey> {
         self.ensure_writable()?;
         self.edit(|wb| {
-            let key = wb.catalog.get_mut(table)?.insert_at(pos, row)?;
-            // Bound regions displaying this table grow by one row.
-            wb.refresh_bindings(None)?;
+            let mut t = wb.catalog.get_mut(table)?;
+            let key = t.insert_at(pos, row)?;
+            // Bound regions displaying this table grow by one row, which
+            // they render from `pos` down.
+            let mut changes = ChangeSet::default();
+            changes.push(t.name(), ChangeKind::Insert, key, pos);
+            drop(t);
+            wb.refresh_bindings(Some(&changes))?;
             Ok(key)
         })
     }

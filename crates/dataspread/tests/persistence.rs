@@ -846,3 +846,94 @@ fn checkpoints_inside_bound_edits_store_current_formula_values() {
     wb.recalculate();
     assert_eq!(shown(&wb, ["E1", "E2"]), live, "against a full pass");
 }
+
+/// A power cut after a tail of bound statements: reopen brings the mirror
+/// up to date from the replayed change set — the checkpoint marked it
+/// current — so it writes only the cells of the rows the tail touched and
+/// reads no row it did not, at any table size. Each statement touches at
+/// most two display rows (a `DELETE` of one of the last two rows moves the
+/// last one up and vacates the end). Afterwards the region equals the
+/// table, and the formula over it a full pass.
+#[test]
+fn reopen_rerenders_only_the_rows_a_bound_tail_touched() {
+    testkit::cases(iters(), 0x7A11_0BE5, |rng| {
+        let fault = FaultVfs::new(FaultPlan::quiet());
+        let mut wb = Workbook::new();
+        let s = wb.current_sheet();
+        let n = rng.usize_in(300, 1_500) as i64;
+        wb.execute_script(
+            "CREATE TABLE t (k INT PRIMARY KEY, v INT, s TEXT);
+             CREATE TABLE u (x INT)",
+        )
+        .unwrap();
+        {
+            let mut t = wb.catalog_mut().get_mut("t").unwrap();
+            for k in 0..n {
+                t.insert(vec![Value::Int(k), Value::Int(k % 7), Value::text("s")])
+                    .unwrap();
+            }
+        }
+        wb.bind_table(s, a("A1"), "t", BindModel::Rom).unwrap();
+        wb.bind_table_cols(s, a("F1"), "t", &["v"]).unwrap();
+        wb.set_input(s, a("H1"), &format!("=SUM(B1:B{})", n + 100))
+            .unwrap();
+        wb.save_with_vfs(STORE, Arc::new(fault.clone())).unwrap();
+        let mut keys: Vec<i64> = (0..n).collect();
+        let mut next = n;
+        let stmts = rng.usize_in(1, 12);
+        for _ in 0..stmts {
+            let sql = match rng.below(4) {
+                0 => {
+                    keys.push(next);
+                    next += 1;
+                    format!("INSERT INTO t VALUES ({}, {}, 'i')", next - 1, next % 7)
+                }
+                1 => format!(
+                    "UPDATE t SET v = {} WHERE k = {}",
+                    rng.below(100),
+                    keys[rng.index(keys.len())]
+                ),
+                _ => {
+                    let k = keys.remove(keys.len() - 1 - rng.index(2));
+                    format!("DELETE FROM t WHERE k = {k}")
+                }
+            };
+            wb.execute(&sql).unwrap();
+            // Unbound statements ride the same tail.
+            wb.execute(&format!("INSERT INTO u VALUES ({next})"))
+                .unwrap();
+        }
+        let live = wb.cell(s, a("H1"));
+        let mut wb = power_cut(wb, &fault);
+
+        let m = wb.metrics_snapshot();
+        let (diffed, reads) = (
+            m.counter("bind_cells_diffed").unwrap(),
+            m.counter("table_page_reads").unwrap(),
+        );
+        let width = 4; // three ROM columns and one COM column
+        assert!(
+            diffed <= 2 * stmts as u64 * width,
+            "{diffed} cells written for {stmts} statements"
+        );
+        assert!(
+            reads <= 8 * stmts as u64,
+            "{reads} pages read for {stmts} statements"
+        );
+        let rows = wb.query("SELECT k, v, s FROM t").unwrap().1;
+        assert_eq!(rows.len(), keys.len());
+        for (r, row) in rows.iter().enumerate() {
+            for (c, v) in row.iter().enumerate() {
+                assert_eq!(&wb.cell(s, CellAddr::new(r as u32, c as u32)), v);
+            }
+            assert_eq!(&wb.cell(s, CellAddr::new(r as u32, 5)), &row[1]);
+        }
+        let below = rows.len() as u32;
+        for c in [0, 1, 2, 5] {
+            assert_eq!(wb.cell(s, CellAddr::new(below, c)), Value::Empty);
+        }
+        assert_eq!(wb.cell(s, a("H1")), live);
+        wb.recalculate();
+        assert_eq!(wb.cell(s, a("H1")), live, "against a full pass");
+    });
+}

@@ -4,20 +4,23 @@
 //! subtrees. Descending by running count answers "what is at position p?" in
 //! O(log n); inserting or deleting at a position touches one root-to-leaf
 //! path. Stable row keys live in the leaves in presentation order. A
-//! key→leaf hash map plus parent pointers gives the reverse lookup
-//! (`position_of`) in O(log n · fanout), which the interface manager needs to
-//! translate keyed database updates back into grid rows.
+//! key→leaf map ([`KeyMap`], dense by key) plus parent pointers gives the
+//! reverse lookup (`position_of`) in O(log n · fanout), which the interface
+//! manager needs to translate keyed database updates back into grid rows.
 //!
 //! Nodes live in an arena (`Vec<Node>`) with integer ids and an explicit free
 //! list, so the structure is safe Rust with no `Rc`/`RefCell` overhead.
 
-use std::collections::HashMap;
-
 use dataspread_types::{DsError, DsResult};
 
-use crate::{PositionalIndex, RowKey};
+use crate::{KeyMap, PositionalIndex, RowKey};
 
 type NodeId = usize;
+
+/// `key_leaf`'s empty slot: no leaf has this id. Leaf ids are stored as
+/// `u32`, half a `NodeId`; a tree would need 2³² nodes, of at least
+/// `fanout / 2` keys each, to reach it.
+const VACANT: u32 = u32::MAX;
 
 /// Default maximum entries per node. 64 keeps nodes around a cache line
 /// multiple and the tree ≤ 4 levels deep up to ~16M rows.
@@ -55,7 +58,7 @@ pub struct CountedBtree {
     len: usize,
     fanout: usize,
     /// Reverse index: which leaf currently holds each key.
-    key_leaf: HashMap<RowKey, NodeId>,
+    key_leaf: KeyMap<u32>,
 }
 
 impl Default for CountedBtree {
@@ -87,7 +90,7 @@ impl CountedBtree {
             root,
             len: 0,
             fanout,
-            key_leaf: HashMap::new(),
+            key_leaf: KeyMap::new(VACANT),
         }
     }
 
@@ -113,7 +116,7 @@ impl CountedBtree {
             root: 0,
             len: all.len(),
             fanout,
-            key_leaf: HashMap::with_capacity(all.len()),
+            key_leaf: KeyMap::new(VACANT),
         };
 
         // Chunk keys into leaves, keeping every leaf within [min, fanout].
@@ -129,17 +132,14 @@ impl CountedBtree {
             *last = new_last;
         }
 
-        // Build the leaf level.
+        // Build the leaf level, and the reverse index in one pass.
         let mut level: Vec<(NodeId, usize)> = Vec::with_capacity(chunks.len());
         let mut prev: Option<NodeId> = None;
+        let mut homes: Vec<(RowKey, u32)> = Vec::with_capacity(all.len());
         for chunk in chunks {
             let count = chunk.len();
             let id = tree.arena.len();
-            for &k in &chunk {
-                if tree.key_leaf.insert(k, id).is_some() {
-                    return Err(DsError::Storage(format!("duplicate row key {k}")));
-                }
-            }
+            homes.extend(chunk.iter().map(|&k| (k, id as u32)));
             tree.arena.push(Node {
                 parent: None,
                 kind: NodeKind::Leaf {
@@ -155,6 +155,17 @@ impl CountedBtree {
             }
             prev = Some(id);
             level.push((id, count));
+        }
+
+        tree.key_leaf = KeyMap::from_pairs(homes, VACANT);
+        if tree.key_leaf.len() != all.len() {
+            let mut seen = std::collections::HashSet::with_capacity(all.len());
+            let dup = all
+                .iter()
+                .find(|&&k| !seen.insert(k))
+                .copied()
+                .unwrap_or_default();
+            return Err(DsError::Storage(format!("duplicate row key {dup}")));
         }
 
         // Build internal levels until a single root remains.
@@ -316,7 +327,12 @@ impl CountedBtree {
         let (right_keys, old_next) = match &mut self.arena[left_id].kind {
             NodeKind::Leaf { keys, next } => {
                 let mid = keys.len() / 2;
-                (keys.split_off(mid), *next)
+                let right = keys.split_off(mid);
+                // The left half keeps the grown buffer otherwise: under
+                // appends it never fills again, and would hold up to four
+                // times the memory of its keys.
+                keys.shrink_to_fit();
+                (right, *next)
             }
             _ => unreachable!(),
         };
@@ -339,7 +355,7 @@ impl CountedBtree {
             _ => unreachable!(),
         };
         for k in moved {
-            self.key_leaf.insert(k, right_id);
+            self.key_leaf.insert(k, right_id as u32);
         }
         self.attach_right(left_id, right_id, left_count, right_count);
     }
@@ -485,7 +501,7 @@ impl CountedBtree {
                 NodeKind::Leaf { keys, .. } => keys.insert(0, key),
                 _ => unreachable!(),
             }
-            self.key_leaf.insert(key, node_id);
+            self.key_leaf.insert(key, node_id as u32);
             moved_count = 1;
         } else {
             let (child, count) = match &mut self.arena[left_id].kind {
@@ -530,7 +546,7 @@ impl CountedBtree {
                 NodeKind::Leaf { keys, .. } => keys.push(key),
                 _ => unreachable!(),
             }
-            self.key_leaf.insert(key, node_id);
+            self.key_leaf.insert(key, node_id as u32);
             moved_count = 1;
         } else {
             let (child, count) = match &mut self.arena[right_id].kind {
@@ -566,7 +582,7 @@ impl CountedBtree {
         match right_kind {
             NodeKind::Leaf { keys, next } => {
                 for &k in &keys {
-                    self.key_leaf.insert(k, left_id);
+                    self.key_leaf.insert(k, left_id as u32);
                 }
                 match &mut self.arena[left_id].kind {
                     NodeKind::Leaf { keys: lk, next: ln } => {
@@ -632,8 +648,8 @@ impl CountedBtree {
         assert_eq!(chained, leaves_in_order, "leaf chain broken");
         // reverse index complete and correct.
         assert_eq!(self.key_leaf.len(), self.len, "key_leaf size mismatch");
-        for (&k, &leaf) in &self.key_leaf {
-            match &self.arena[leaf].kind {
+        for (k, leaf) in self.key_leaf.iter() {
+            match &self.arena[leaf as usize].kind {
                 NodeKind::Leaf { keys, .. } => {
                     assert!(keys.contains(&k), "key_leaf points {k} at wrong leaf")
                 }
@@ -712,7 +728,7 @@ impl PositionalIndex for CountedBtree {
                 self.len
             )));
         }
-        if self.key_leaf.contains_key(&key) {
+        if self.key_leaf.contains_key(key) {
             return Err(DsError::Storage(format!("duplicate row key {key}")));
         }
         let (leaf_id, off) = self.locate_insert(pos);
@@ -720,7 +736,7 @@ impl PositionalIndex for CountedBtree {
             NodeKind::Leaf { keys, .. } => keys.insert(off, key),
             _ => unreachable!(),
         }
-        self.key_leaf.insert(key, leaf_id);
+        self.key_leaf.insert(key, leaf_id as u32);
         self.len += 1;
         self.bump_counts(leaf_id, 1);
         if self.node_size(leaf_id) > self.fanout {
@@ -741,7 +757,7 @@ impl PositionalIndex for CountedBtree {
             NodeKind::Leaf { keys, .. } => keys.remove(off),
             _ => unreachable!(),
         };
-        self.key_leaf.remove(&key);
+        self.key_leaf.remove(key);
         self.len -= 1;
         self.bump_counts(leaf_id, -1);
         if self.arena[leaf_id].parent.is_some() && self.node_size(leaf_id) < self.min_size() {
@@ -762,7 +778,7 @@ impl PositionalIndex for CountedBtree {
     }
 
     fn position_of(&self, key: RowKey) -> Option<usize> {
-        let leaf_id = *self.key_leaf.get(&key)?;
+        let leaf_id = self.key_leaf.get(key)? as NodeId;
         let mut pos = match &self.arena[leaf_id].kind {
             NodeKind::Leaf { keys, .. } => keys.iter().position(|&k| k == key)?,
             _ => unreachable!(),

@@ -19,13 +19,17 @@
 //!   arm in experiment `C3` and as the *model* in property tests.
 //!
 //! Both index types implement [`PositionalIndex`], so the storage layer and
-//! the benches can swap them freely.
+//! the benches can swap them freely. [`KeyMap`] is the dense key-indexed
+//! map behind the counted B-tree's reverse index and the storage layer's
+//! row directories.
 
 pub mod counted_btree;
 pub mod dense;
+pub mod keymap;
 
 pub use counted_btree::CountedBtree;
 pub use dense::DenseIndex;
+pub use keymap::KeyMap;
 
 use dataspread_types::DsResult;
 

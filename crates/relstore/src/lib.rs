@@ -29,6 +29,7 @@
 
 pub mod binding;
 pub mod catalog;
+pub mod change;
 pub mod codec;
 pub mod crc;
 pub mod metered;
@@ -43,6 +44,7 @@ pub mod wal;
 
 pub use binding::{BindModel, BindingMeta};
 pub use catalog::{Catalog, TableRef, TableRefMut, TableShard, DEFAULT_POLICY};
+pub use change::{ChangeKind, ChangeSet, RowChange};
 pub use metered::{MeteredVfs, VfsMeter};
 pub use page::{Page, PAGE_SIZE};
 pub use pager::{PageFile, PageFileSnapshot, PageFileStats};

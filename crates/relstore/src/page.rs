@@ -93,6 +93,15 @@ impl Page {
         }
     }
 
+    /// Release the buffers' growth slack. A table calls this on its last
+    /// page once that page is full and a new one takes the appends: a
+    /// buffer that doubled to fit its last fragment is otherwise up to
+    /// half empty for good.
+    pub fn shrink_to_fit(&mut self) {
+        self.data.shrink_to_fit();
+        self.slots.shrink_to_fit();
+    }
+
     /// Read a live fragment.
     pub fn read(&self, slot: SlotId) -> DsResult<&[u8]> {
         match self.slots.get(slot as usize) {

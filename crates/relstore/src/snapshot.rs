@@ -30,6 +30,7 @@ use std::sync::Arc;
 use dataspread_types::{DsError, DsResult};
 
 use crate::catalog::Catalog;
+use crate::change::ChangeSet;
 use crate::codec::{put_u32, Cursor};
 use crate::pager::PageFile;
 use crate::table::Table;
@@ -98,6 +99,12 @@ pub struct Replayed {
     /// Committed *table* operations (DML and `CREATE`/`DROP TABLE`) applied
     /// to the catalog.
     pub table_ops: usize,
+    /// The replayed row operations as one change set, in commit order —
+    /// the same entries the live statements produced.
+    pub changes: ChangeSet,
+    /// The tail created or dropped a table, so a table name may stand for
+    /// two tables across `changes`.
+    pub ddl: bool,
     /// Committed engine-layer operations (sheet edits, binding
     /// create/drop), in commit order. The relational layer cannot apply
     /// these; the engine replays them against its decoded sheets and
@@ -108,9 +115,13 @@ pub struct Replayed {
 impl WalTail {
     /// Apply the committed table operations to `catalog` — the one
     /// [`load_catalog`] decoded, detached so replay does not re-log itself
-    /// (ARIES-lite redo) — and hand back the engine operations.
+    /// (ARIES-lite redo) — and hand back their change set and the engine
+    /// operations.
     pub fn replay(self, catalog: &mut Catalog) -> DsResult<Replayed> {
-        let table_ops = apply_committed(catalog, &self.ops)?;
+        let mut changes = ChangeSet::default();
+        let table_ops = apply_committed(catalog, &self.ops, &mut changes)?;
+        let ddl = (self.ops.iter())
+            .any(|op| matches!(op, WalOp::CreateTable { .. } | WalOp::DropTable { .. }));
         let engine_ops = self
             .ops
             .into_iter()
@@ -118,6 +129,8 @@ impl WalTail {
             .collect();
         Ok(Replayed {
             table_ops,
+            changes,
+            ddl,
             engine_ops,
         })
     }
@@ -284,6 +297,7 @@ pub fn load_catalog_with(vfs: &Arc<dyn Vfs>, dir: &Path) -> DsResult<LoadedCatal
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::change::ChangeKind;
     use crate::schema::{ColumnDef, Schema};
     use dataspread_types::{DataType, Value};
 
@@ -354,6 +368,7 @@ mod tests {
             .insert(vec![Value::Int(100), Value::text("late"), Value::Empty])
             .unwrap();
         t.update_cell(k, 2, Value::Float(9.5)).unwrap();
+        let end = t.row_count() - 1;
         let victim = t.key_at(0).unwrap();
         t.delete_row(victim).unwrap();
         let reference = t.scan().unwrap();
@@ -367,6 +382,14 @@ mod tests {
             loaded.catalog.get("people").unwrap().scan().unwrap(),
             reference
         );
+        // The change set names each row op with the position it applied
+        // at, as the live calls saw them.
+        let mut expected = ChangeSet::default();
+        expected.push("people", ChangeKind::Insert, k, end);
+        expected.push("people", ChangeKind::Update, k, end);
+        expected.push("people", ChangeKind::Delete, victim, 0);
+        assert_eq!(replayed.changes, expected);
+        assert!(!replayed.ddl);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

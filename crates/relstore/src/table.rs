@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dataspread_posindex::{CountedBtree, PositionalIndex, RowKey};
+use dataspread_posindex::{CountedBtree, KeyMap, PositionalIndex, RowKey};
 use dataspread_types::{DsError, DsResult, Value};
 
 use crate::codec::{decode_fragment, decode_fragment_prefix, encode_fragment};
@@ -100,6 +100,9 @@ impl TableStats {
     }
 }
 
+/// A row directory's empty slot: no page has this index.
+const NO_FRAGMENT: (u32, SlotId) = (u32::MAX, SlotId::MAX);
+
 /// One attribute group's storage. Pages and the row directory sit behind
 /// `Arc`s so a [`TableSnapshot`] is a cheap pointer-clone of the whole group;
 /// writers go through [`std::sync::Arc::make_mut`], copying a page only when
@@ -109,8 +112,9 @@ struct Group {
     /// Schema column indices stored in this group, in fragment order.
     cols: Vec<usize>,
     pages: Vec<Arc<Page>>,
-    /// Where each row's fragment lives. Rows absent here take `defaults`.
-    rowdir: Arc<HashMap<RowKey, (u32, SlotId)>>,
+    /// Where each row's fragment lives (page index, slot), dense by key.
+    /// Rows absent here take `defaults`.
+    rowdir: Arc<KeyMap<(u32, SlotId)>>,
     /// Lazily-materialized values for rows without a fragment (the zero-cost
     /// `ADD COLUMN` mechanism).
     defaults: Vec<Value>,
@@ -122,7 +126,7 @@ impl Group {
         Group {
             cols,
             pages: Vec::new(),
-            rowdir: Arc::new(HashMap::new()),
+            rowdir: Arc::new(KeyMap::new(NO_FRAGMENT)),
             defaults,
         }
     }
@@ -320,6 +324,11 @@ impl Table {
             None => true,
         };
         if need_new {
+            // Appends only ever go to the last page, so the full one it
+            // replaces can give back its slack (unless a snapshot shares it).
+            if let Some(full) = group.pages.last_mut().and_then(Arc::get_mut) {
+                full.shrink_to_fit();
+            }
             group.pages.push(Arc::new(Page::new()));
             self.stats.pages_allocated.fetch_add(1, Ordering::Relaxed);
         }
@@ -334,8 +343,8 @@ impl Table {
     /// lazy defaults.
     fn read_fragment(&self, g: usize, key: RowKey) -> DsResult<Vec<Value>> {
         let group = &self.groups[g];
-        match group.rowdir.get(&key) {
-            Some(&(pidx, slot)) => {
+        match group.rowdir.get(key) {
+            Some((pidx, slot)) => {
                 self.touch_read();
                 let bytes = group.pages[pidx as usize].read(slot)?;
                 decode_fragment(bytes)
@@ -347,7 +356,7 @@ impl Table {
     /// Rewrite the fragment of `key` in group `g` with new values,
     /// materializing or relocating as needed.
     fn write_fragment(&mut self, g: usize, key: RowKey, values: &[Value]) -> DsResult<()> {
-        let loc = self.groups[g].rowdir.get(&key).copied();
+        let loc = self.groups[g].rowdir.get(key);
         match loc {
             Some((pidx, slot)) => {
                 let bytes = encode_fragment(values);
@@ -357,7 +366,7 @@ impl Table {
                 if !fits {
                     // Relocate: tombstone the old copy, append elsewhere.
                     Arc::make_mut(&mut self.groups[g].pages[pidx as usize]).delete(slot)?;
-                    Arc::make_mut(&mut self.groups[g].rowdir).remove(&key);
+                    Arc::make_mut(&mut self.groups[g].rowdir).remove(key);
                     self.append_fragment(g, key, values)?;
                 }
                 Ok(())
@@ -610,7 +619,7 @@ impl Table {
             Arc::make_mut(&mut self.pk_index).remove(&kt);
         }
         for g in 0..self.groups.len() {
-            if let Some((pidx, slot)) = Arc::make_mut(&mut self.groups[g].rowdir).remove(&key) {
+            if let Some((pidx, slot)) = Arc::make_mut(&mut self.groups[g].rowdir).remove(key) {
                 Arc::make_mut(&mut self.groups[g].pages[pidx as usize]).delete(slot)?;
                 self.touch_write();
             }
@@ -690,6 +699,16 @@ impl Table {
     /// valid upstream while untouched groups cost zero page reads.
     /// `cols: None` reads every group (same as [`Table::iter_rows`]).
     pub fn iter_rows_sparse(&self, cols: Option<&[usize]>) -> RowIter<'_> {
+        self.rows_sparse(self.order.to_vec(), cols)
+    }
+
+    /// [`Table::iter_rows_sparse`] over the rows displayed at `pos` and
+    /// below: O(log n) to find the first, then the rows themselves.
+    pub fn iter_rows_sparse_from(&self, pos: usize, cols: Option<&[usize]>) -> RowIter<'_> {
+        self.rows_sparse(self.order.range(pos, usize::MAX), cols)
+    }
+
+    fn rows_sparse(&self, keys: Vec<RowKey>, cols: Option<&[usize]>) -> RowIter<'_> {
         let groups = match cols {
             None => (0..self.groups.len()).collect(),
             Some(cols) => {
@@ -701,7 +720,7 @@ impl Table {
         };
         RowIter {
             table: self,
-            keys: self.order.to_vec().into_iter(),
+            keys: keys.into_iter(),
             groups,
         }
     }
@@ -804,19 +823,22 @@ impl Table {
     /// page — this is exactly the cost the hybrid layout avoids.
     fn rewrite_group(&mut self, g: usize, transform: impl Fn(&mut Vec<Value>)) -> DsResult<()> {
         let old_pages = std::mem::take(&mut self.groups[g].pages);
-        let old_rowdir = std::mem::take(&mut self.groups[g].rowdir);
+        let old_rowdir = std::mem::replace(
+            &mut self.groups[g].rowdir,
+            Arc::new(KeyMap::new(NO_FRAGMENT)),
+        );
         self.stats
             .page_reads
             .fetch_add(old_pages.len() as u64, Ordering::Relaxed);
         // Preserve a deterministic order: iterate rows in page order.
         let mut frags: Vec<(RowKey, Vec<Value>)> = Vec::with_capacity(old_rowdir.len());
-        let mut by_loc: Vec<(&RowKey, &(u32, SlotId))> = old_rowdir.iter().collect();
-        by_loc.sort_by_key(|(_, loc)| **loc);
-        for (key, &(pidx, slot)) in by_loc {
+        let mut by_loc: Vec<(RowKey, (u32, SlotId))> = old_rowdir.iter().collect();
+        by_loc.sort_by_key(|&(_, loc)| loc);
+        for (key, (pidx, slot)) in by_loc {
             let bytes = old_pages[pidx as usize].read(slot)?;
             let mut frag = decode_fragment(bytes)?;
             transform(&mut frag);
-            frags.push((*key, frag));
+            frags.push((key, frag));
         }
         for (key, frag) in frags {
             self.append_fragment(g, key, &frag)?;
@@ -897,12 +919,12 @@ impl Table {
             }
             put_u32(buf, group.rowdir.len() as u32);
             // Deterministic order for byte-stable snapshots.
-            let mut entries: Vec<(&RowKey, &(u32, SlotId))> = group.rowdir.iter().collect();
-            entries.sort();
+            let mut entries: Vec<(RowKey, (u32, SlotId))> = group.rowdir.iter().collect();
+            entries.sort_unstable();
             for (key, (pidx, slot)) in entries {
-                put_u64(buf, *key);
-                put_u32(buf, *pidx);
-                put_u16(buf, *slot);
+                put_u64(buf, key);
+                put_u32(buf, pidx);
+                put_u16(buf, slot);
             }
         }
         Ok(())
@@ -956,12 +978,23 @@ impl Table {
                 pages.push(Arc::new(Page::from_image(&pager.read_frame(frame)?)?));
             }
             let ndir = cur.u32()? as usize;
-            let mut rowdir = HashMap::with_capacity(ndir.min(cur.remaining()));
+            let mut entries = Vec::with_capacity(ndir.min(cur.remaining()));
             for _ in 0..ndir {
                 let key = cur.u64()?;
                 let pidx = cur.u32()?;
                 let slot = cur.u16()?;
-                rowdir.insert(key, (pidx, slot));
+                if pidx == u32::MAX {
+                    return Err(DsError::Storage(format!(
+                        "snapshot: row {key} names page {pidx}"
+                    )));
+                }
+                entries.push((key, (pidx, slot)));
+            }
+            let rowdir = KeyMap::from_pairs(entries, NO_FRAGMENT);
+            if rowdir.len() != ndir {
+                return Err(DsError::Storage(
+                    "snapshot: a row directory names a row twice".into(),
+                ));
             }
             groups.push(Group {
                 cols,
@@ -1025,7 +1058,7 @@ impl Table {
         for key in rows {
             let mut tuple = vec![Value::Empty; pk.len()];
             for KeyGroup { group, width, cols } in &key_groups {
-                let Some(&(pidx, slot)) = group.rowdir.get(&key) else {
+                let Some((pidx, slot)) = group.rowdir.get(key) else {
                     for &(i, off) in cols {
                         tuple[i] = group.defaults[off].clone();
                     }
@@ -1205,8 +1238,8 @@ impl TableSnapshot {
 
     fn read_fragment(&self, g: usize, key: RowKey) -> DsResult<Vec<Value>> {
         let group = &self.groups[g];
-        match group.rowdir.get(&key) {
-            Some(&(pidx, slot)) => decode_fragment(group.pages[pidx as usize].read(slot)?),
+        match group.rowdir.get(key) {
+            Some((pidx, slot)) => decode_fragment(group.pages[pidx as usize].read(slot)?),
             None => Ok(group.defaults.clone()),
         }
     }

@@ -45,6 +45,7 @@ use dataspread_types::{DsError, DsResult, Value};
 
 use crate::binding::BindingMeta;
 use crate::catalog::Catalog;
+use crate::change::{ChangeKind, ChangeSet};
 use crate::codec::{encode_value, put_str, put_u16, put_u32, put_u64, Cursor};
 use crate::crc::crc32;
 use crate::schema::Schema;
@@ -1027,11 +1028,17 @@ pub fn committed_ops(scan: &WalScan) -> Vec<WalOp> {
 /// DDL — against a catalog restored from the matching checkpoint. Engine
 /// operations ([`WalOp::is_engine_op`]: sheet edits and binding
 /// create/drop) are skipped — the engine replays those against its decoded
-/// sheets. Returns the number of table operations applied.
+/// sheets. Returns the number of table operations applied; every row
+/// operation is also recorded in `changes`, with the display position it
+/// applied at, as the live statement recorded it.
 ///
 /// Tables must *not* have a WAL attached during replay (a freshly decoded
 /// snapshot does not), or the recovery would re-log itself.
-pub fn apply_committed(catalog: &mut Catalog, ops: &[WalOp]) -> DsResult<usize> {
+pub fn apply_committed(
+    catalog: &mut Catalog,
+    ops: &[WalOp],
+    changes: &mut ChangeSet,
+) -> DsResult<usize> {
     let mut applied = 0;
     for op in ops {
         match op {
@@ -1041,9 +1048,11 @@ pub fn apply_committed(catalog: &mut Catalog, ops: &[WalOp]) -> DsResult<usize> 
                 pos,
                 row,
             } => {
+                let pos = *pos as usize;
                 catalog
                     .get_mut(table)?
-                    .insert_at_with_key(*pos as usize, *key, row.clone())?;
+                    .insert_at_with_key(pos, *key, row.clone())?;
+                changes.push(table, ChangeKind::Insert, *key, pos);
             }
             WalOp::UpdateCell {
                 table,
@@ -1051,15 +1060,18 @@ pub fn apply_committed(catalog: &mut Catalog, ops: &[WalOp]) -> DsResult<usize> 
                 col,
                 value,
             } => {
-                catalog
-                    .get_mut(table)?
-                    .update_cell(*key, *col as usize, value.clone())?;
+                let mut t = catalog.get_mut(table)?;
+                t.update_cell(*key, *col as usize, value.clone())?;
+                changes.push(table, ChangeKind::Update, *key, row_position(&t, *key)?);
             }
             WalOp::UpdateRow { table, key, row } => {
-                catalog.get_mut(table)?.update_row(*key, row.clone())?;
+                let mut t = catalog.get_mut(table)?;
+                t.update_row(*key, row.clone())?;
+                changes.push(table, ChangeKind::Update, *key, row_position(&t, *key)?);
             }
             WalOp::Delete { table, key } => {
-                catalog.get_mut(table)?.delete_row(*key)?;
+                let pos = catalog.get_mut(table)?.delete_row(*key)?;
+                changes.push(table, ChangeKind::Delete, *key, pos);
             }
             WalOp::CreateTable { table, schema } => {
                 let t = crate::table::Table::new(
@@ -1080,6 +1092,16 @@ pub fn apply_committed(catalog: &mut Catalog, ops: &[WalOp]) -> DsResult<usize> 
         applied += 1;
     }
     Ok(applied)
+}
+
+/// The display position of `key`, which a replayed update just rewrote.
+fn row_position(t: &crate::table::Table, key: RowKey) -> DsResult<usize> {
+    t.position_of(key).ok_or_else(|| {
+        DsError::Storage(format!(
+            "wal replay: row key {key} not in table {}",
+            t.name()
+        ))
+    })
 }
 
 #[cfg(test)]
